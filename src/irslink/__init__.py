@@ -6,7 +6,8 @@ from .channel import (AnglePair, ChannelSet, Scenario, angles_between,
 from .channel_io import ChannelFileError, load_channels, save_channels
 from .config import ConfigError, OptimizerSettings, parse_config
 from .experiments import (ExperimentResult, ResultRow, Scheme, SweepSpec,
-                          convergence_trace, run_sweep, run_trial, trial_seed)
+                          convergence_trace, run_sweep, run_trial, solve,
+                          trial_seed)
 from .link import (PhaseConfig, QuadraticForm, build_quadratic_form,
                    effective_channel, element_local_terms, quadratic_gain,
                    rate, reflection_vector, snr)
@@ -23,7 +24,7 @@ __all__ = [
     "steering_vector", "ChannelFileError", "load_channels", "save_channels",
     "ConfigError", "OptimizerSettings", "parse_config", "ExperimentResult",
     "ResultRow", "Scheme", "SweepSpec", "convergence_trace", "run_sweep",
-    "run_trial", "trial_seed", "PhaseConfig", "QuadraticForm",
+    "run_trial", "solve", "trial_seed", "PhaseConfig", "QuadraticForm",
     "build_quadratic_form", "effective_channel", "element_local_terms",
     "quadratic_gain", "rate", "reflection_vector", "snr", "GroupingSpec",
     "RefinementReport", "brute_force", "grouping_layout", "optimize_grouped",

@@ -47,7 +47,7 @@ def save_channels(channels: ChannelSet, path: str) -> None:
         lines.append("%.17g %.17g" % (z.real, z.imag))
     for z in channels.h_d:
         lines.append("%.17g %.17g" % (z.real, z.imag))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def load_channels(path: str) -> ChannelSet:
@@ -119,11 +119,19 @@ def load_channels(path: str) -> ChannelSet:
     return ChannelSet(h_r=h_r, h_v=h_v, h_d=h_d)
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text to path via a temp file and a rename.
+
+    The file gets the mode a plain ``open(path, "w")`` would create it
+    with, not mkstemp's owner-only 0600.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".txt")
     try:
+        umask = os.umask(0)  # the umask can only be read by setting it
+        os.umask(umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -18,40 +18,24 @@ is 0 on success, 2 on configuration or input errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-import tempfile
 
 import numpy as np
 
 from .channel import Scenario, rician_channel
-from .channel_io import ChannelFileError, load_channels
+from .channel_io import ChannelFileError, atomic_write_text, load_channels
 from .config import (ConfigError, OptimizerSettings, parse_config,
                      parse_optimizer_settings)
-from .experiments import Scheme, SweepSpec, convergence_trace, run_sweep
+from .experiments import Scheme, SweepSpec, convergence_trace, run_sweep, solve
 from .link import rate
-from .optimizer import (GroupingSpec, optimize_grouped, optimize_position_based,
+# Unused here; bench/tracing.py wraps these names on this module.
+from .optimizer import (optimize_grouped, optimize_position_based,  # noqa: F401
                         successive_refinement)
 
 
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".txt")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _load_scenario(args) -> tuple[Scenario, OptimizerSettings]:
@@ -66,32 +50,15 @@ def _load_scenario(args) -> tuple[Scenario, OptimizerSettings]:
 def _cmd_optimize(args) -> int:
     scenario, settings = _load_scenario(args)
     scheme = Scheme.parse(args.scheme)
-    if scheme.name == "no_irs":
-        print("error: scheme no_irs has nothing to optimize", file=sys.stderr)
-        return 2
-
     if args.channels:
         channels = load_channels(args.channels)
     else:
         seed = args.seed if args.seed is not None else settings.seed
         channels = rician_channel(scenario, np.random.default_rng(seed))
 
-    tx_power, noise = scenario.tx_power, scenario.n0
-    if scheme.name == "full_csi":
-        report = successive_refinement(
-            channels, settings.levels, tx_power, noise,
-            epsilon=settings.epsilon, max_outer_iters=settings.max_outer_iters)
-    elif scheme.name == "grouped":
-        report = optimize_grouped(
-            channels, (scenario.irs_rows, scenario.irs_cols),
-            GroupingSpec(scheme.group_rows, scheme.group_cols),
-            settings.levels, tx_power, noise, epsilon=settings.epsilon,
-            max_outer_iters=settings.max_outer_iters)
-    else:
-        report = optimize_position_based(
-            scenario, channels, settings.levels, tx_power, noise,
-            epsilon=settings.epsilon, max_outer_iters=settings.max_outer_iters)
-    achieved = rate(channels, report.final_phases, tx_power, noise)
+    report = solve(scenario, channels, scheme, settings.levels, settings.epsilon,
+                   max_outer_iters=settings.max_outer_iters)
+    achieved = rate(channels, report.final_phases, scenario.tx_power, scenario.n0)
 
     out_lines = [
         "rate_bps_hz %.12g" % achieved,
@@ -101,7 +68,7 @@ def _cmd_optimize(args) -> int:
     ]
     text = "\n".join(out_lines) + "\n"
     if args.out:
-        _atomic_write(args.out, text)
+        atomic_write_text(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -117,10 +84,10 @@ def _cmd_sweep(args) -> int:
     result = run_sweep(parsed, workers=args.workers,
                        keep_trials=bool(args.dump),
                        keep_traces=bool(args.dump and args.traces))
-    _atomic_write(args.out, result.to_table())
+    atomic_write_text(args.out, result.to_table())
     print(f"wrote {args.out} ({len(result.rows)} rows)")
     if args.dump:
-        _atomic_write(args.dump, result.to_json())
+        atomic_write_text(args.dump, result.to_json())
         print(f"wrote {args.dump}")
     return 0
 
@@ -134,7 +101,7 @@ def _cmd_convergence(args) -> int:
     lines += ["%d %.12g" % (k, r) for k, r in enumerate(trace)]
     text = "\n".join(lines) + "\n"
     if args.out:
-        _atomic_write(args.out, text)
+        atomic_write_text(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

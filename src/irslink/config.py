@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .channel import Scenario
-from .experiments import Scheme, SweepSpec
+from .experiments import Scheme, SweepSpec, scenario_for_value
 
 
 class ConfigError(ValueError):
@@ -154,7 +154,10 @@ def _build_scenario(parser, lines) -> Scenario:
 
 def parse_optimizer_settings(text: str,
                              overrides: tuple[str, ...] = ()) -> OptimizerSettings:
-    parser, lines = _read(text, overrides)
+    return _build_optimizer(*_read(text, overrides))
+
+
+def _build_optimizer(parser, lines) -> OptimizerSettings:
     kwargs = {}
     if parser.has_section("optimizer"):
         items = dict(parser.items("optimizer"))
@@ -178,6 +181,9 @@ def _parse_values(value: str, lines: dict) -> tuple:
         except ValueError:
             raise ConfigError(f"[sweep] values ({loc}): expected numbers "
                               f"in range, got {value!r}") from None
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigError(f"[sweep] values ({loc}): range bounds must be "
+                              f"finite, got {value!r}")
         if not step > 0 or stop < start:
             raise ConfigError(f"[sweep] values ({loc}): need step > 0 and "
                               f"stop >= start")
@@ -210,7 +216,7 @@ def _build_sweep(parser, lines, scenario: Scenario,
     master_seed = _parse_scalar(items.get("master_seed", "0"), "int", "sweep",
                                 "master_seed", lines)
     try:
-        return SweepSpec(base_scenario=scenario, swept_variable=items["variable"],
+        spec = SweepSpec(base_scenario=scenario, swept_variable=items["variable"],
                          sweep_values=values, schemes=schemes, trials=trials,
                          master_seed=master_seed, levels=optimizer.levels,
                          epsilon=optimizer.epsilon,
@@ -218,6 +224,14 @@ def _build_sweep(parser, lines, scenario: Scenario,
     except ValueError as exc:
         lineno = lines.get("sweep", {}).get("__section__")
         raise ConfigError(f"[sweep] (line {lineno}): {exc}") from None
+    for value in values:
+        try:
+            scenario_for_value(spec, value)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"[sweep] values ({_loc(lines, 'sweep', 'values')}): "
+                              f"{spec.swept_variable} {value:g} is out of range: "
+                              f"{exc}") from None
+    return spec
 
 
 def parse_config(text: str, overrides: tuple[str, ...] = ()):
@@ -225,15 +239,14 @@ def parse_config(text: str, overrides: tuple[str, ...] = ()):
 
     ``overrides`` holds ``section.key=value`` pairs applied on top of
     the text, as supplied by the command line. Grouped-scheme block
-    sizes are validated against the scenario's panel here so bad
-    configs fail before any computation.
+    sizes and the scenario at every swept value are validated here so
+    bad configs fail before any computation.
     """
     parser, lines = _read(text, overrides)
     scenario = _build_scenario(parser, lines)
     if not parser.has_section("sweep"):
         return scenario
-    optimizer = parse_optimizer_settings(text, overrides)
-    spec = _build_sweep(parser, lines, scenario, optimizer)
+    spec = _build_sweep(parser, lines, scenario, _build_optimizer(parser, lines))
     for scheme in spec.schemes:
         if scheme.name == "grouped":
             if (scenario.irs_rows % scheme.group_rows != 0

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .channel import ChannelSet, Scenario, rician_channel
-from .link import PhaseConfig, rate
+from .link import rate, rate_from_gain
 from .optimizer import (DEFAULT_EPSILON, DEFAULT_MAX_OUTER_ITERS, GroupingSpec,
-                        optimize_grouped, optimize_position_based,
-                        successive_refinement)
+                        RefinementReport, optimize_grouped,
+                        optimize_position_based, successive_refinement)
 
 SWEEP_VARIABLES = ("vehicle_offset_c_v", "tx_power", "quantization_bits")
 
@@ -96,13 +96,9 @@ class SweepSpec:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed!r}")
         if self.swept_variable == "quantization_bits":
             for val in self.sweep_values:
-                if val != int(val) or val < 1:
+                if not math.isfinite(val) or val != int(val) or val < 1:
                     raise ValueError(f"quantization_bits values must be positive "
                                      f"integers, got {val!r}")
-        if self.swept_variable == "tx_power":
-            # tx_power sweeps are specified in dBm, matching how link
-            # budgets are quoted; conversion happens per point.
-            pass
 
 
 @dataclass(frozen=True)
@@ -165,6 +161,31 @@ def levels_for_value(spec: SweepSpec, value: float) -> int:
     return spec.levels
 
 
+def solve(scenario: Scenario, channels: ChannelSet, scheme: Scheme, levels: int,
+          epsilon: float, *, max_outer_iters: int = DEFAULT_MAX_OUTER_ITERS,
+          ) -> RefinementReport:
+    """Optimize the phases of one channel draw under one scheme.
+
+    The only place that maps a scheme to its optimizer. ``no_irs`` has
+    no phases and is rejected.
+    """
+    tx_power, noise = scenario.tx_power, scenario.n0
+    if scheme.name == "full_csi":
+        return successive_refinement(channels, levels, tx_power, noise,
+                                     epsilon=epsilon,
+                                     max_outer_iters=max_outer_iters)
+    if scheme.name == "grouped":
+        return optimize_grouped(channels, (scenario.irs_rows, scenario.irs_cols),
+                                GroupingSpec(scheme.group_rows, scheme.group_cols),
+                                levels, tx_power, noise, epsilon=epsilon,
+                                max_outer_iters=max_outer_iters)
+    if scheme.name == "position_based":
+        return optimize_position_based(scenario, channels, levels, tx_power,
+                                       noise, epsilon=epsilon,
+                                       max_outer_iters=max_outer_iters)
+    raise ValueError(f"scheme {scheme.name} has nothing to optimize")
+
+
 def run_trial(scenario: Scenario, scheme: Scheme, levels: int, epsilon: float,
               seed: int, *, max_outer_iters: int = DEFAULT_MAX_OUTER_ITERS,
               keep_trace: bool = False):
@@ -176,37 +197,17 @@ def run_trial(scenario: Scenario, scheme: Scheme, levels: int, epsilon: float,
     """
     rng = np.random.default_rng(seed)
     channels = rician_channel(scenario, rng)
-    tx_power = scenario.tx_power
-    noise = scenario.n0
-
     if scheme.name == "no_irs":
-        bare = ChannelSet(h_r=channels.h_r,
-                          h_v=np.zeros_like(channels.h_v),
-                          h_d=channels.h_d)
-        config = PhaseConfig(indices=np.zeros(bare.num_irs_elements, dtype=np.int64),
-                             levels=levels)
-        achieved = rate(bare, config, tx_power, noise)
-        return (achieved, (achieved,)) if keep_trace else achieved
-
-    if scheme.name == "full_csi":
-        report = successive_refinement(channels, levels, tx_power, noise,
-                                       epsilon=epsilon,
-                                       max_outer_iters=max_outer_iters)
-    elif scheme.name == "grouped":
-        report = optimize_grouped(channels,
-                                  (scenario.irs_rows, scenario.irs_cols),
-                                  GroupingSpec(scheme.group_rows, scheme.group_cols),
-                                  levels, tx_power, noise, epsilon=epsilon,
-                                  max_outer_iters=max_outer_iters)
-    elif scheme.name == "position_based":
-        report = optimize_position_based(scenario, channels, levels, tx_power,
-                                         noise, epsilon=epsilon,
-                                         max_outer_iters=max_outer_iters)
-    else:  # pragma: no cover - Scheme validates its name
-        raise ValueError(f"unknown scheme {scheme.name!r}")
-
-    achieved = rate(channels, report.final_phases, tx_power, noise)
-    return (achieved, report.rate_trace) if keep_trace else achieved
+        gain = float(np.vdot(channels.h_d, channels.h_d).real)
+        achieved = rate_from_gain(gain, scenario.tx_power, scenario.n0)
+        trace = (achieved,)
+    else:
+        report = solve(scenario, channels, scheme, levels, epsilon,
+                       max_outer_iters=max_outer_iters)
+        achieved = rate(channels, report.final_phases, scenario.tx_power,
+                        scenario.n0)
+        trace = report.rate_trace
+    return (achieved, trace) if keep_trace else achieved
 
 
 def run_sweep(spec: SweepSpec, *, workers: int = 1, keep_trials: bool = False,
@@ -273,9 +274,5 @@ def convergence_trace(scenario: Scenario, levels: int, epsilon: float,
                       seed: int, *, max_outer_iters: int = DEFAULT_MAX_OUTER_ITERS,
                       ) -> tuple[float, ...]:
     """Rate trace of one seeded full-CSI refinement from zero phases."""
-    rng = np.random.default_rng(seed)
-    channels = rician_channel(scenario, rng)
-    report = successive_refinement(channels, levels, scenario.tx_power,
-                                   scenario.n0, epsilon=epsilon,
-                                   max_outer_iters=max_outer_iters)
-    return report.rate_trace
+    return run_trial(scenario, Scheme("full_csi"), levels, epsilon, seed,
+                     max_outer_iters=max_outer_iters, keep_trace=True)[1]

@@ -118,6 +118,11 @@ def snr(channels: ChannelSet, config: PhaseConfig, tx_power: float,
     return tx_power * float(np.vdot(h_eff, h_eff).real) / noise_power
 
 
+def rate_from_gain(gain: float, tx_power: float, noise_power: float) -> float:
+    """Rate log2(1 + P * gain / N0) in bit/s/Hz at array gain ||h_eff||^2."""
+    return math.log2(1.0 + tx_power * gain / noise_power)
+
+
 def rate(channels: ChannelSet, config: PhaseConfig, tx_power: float,
          noise_power: float) -> float:
     """Achievable uplink rate log2(1 + SNR) in bit/s/Hz."""

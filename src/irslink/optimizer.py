@@ -33,7 +33,7 @@ import numpy as np
 
 from .channel import ChannelSet, Scenario, los_channel_matrix
 from .link import (PhaseConfig, QuadraticForm, build_quadratic_form,
-                   _quadratic_form_from_phi, quadratic_gain, rate)
+                   _quadratic_form_from_phi, quadratic_gain, rate, rate_from_gain)
 
 DEFAULT_EPSILON = 1e-6
 DEFAULT_MAX_OUTER_ITERS = 100
@@ -94,10 +94,6 @@ def quantize_phase(target_angle: float, levels: int) -> int:
     return int(np.argmin(d))
 
 
-def _rate_from_gain(gain: float, tx_power: float, noise_power: float) -> float:
-    return math.log2(1.0 + tx_power * gain / noise_power)
-
-
 def _refine(form: QuadraticForm, levels: int, tx_power: float, noise_power: float,
             init_indices: np.ndarray, epsilon: float, max_outer_iters: int,
             record_configs: bool = False):
@@ -118,7 +114,7 @@ def _refine(form: QuadraticForm, levels: int, tx_power: float, noise_power: floa
     v = table[idx]
 
     gain = quadratic_gain(form, v)
-    trace = [_rate_from_gain(gain, tx_power, noise_power)]
+    trace = [rate_from_gain(gain, tx_power, noise_power)]
     configs = [idx.copy()] if record_configs else None
     diag = np.real(np.diag(form.a))
 
@@ -140,7 +136,7 @@ def _refine(form: QuadraticForm, levels: int, tx_power: float, noise_power: floa
                 idx[n] = best
                 gain += gain_step
         iterations += 1
-        trace.append(_rate_from_gain(gain, tx_power, noise_power))
+        trace.append(rate_from_gain(gain, tx_power, noise_power))
         if record_configs:
             configs.append(idx.copy())
         if abs(trace[-1] - trace[-2]) <= epsilon:
@@ -202,7 +198,7 @@ def brute_force(channels: ChannelSet, levels: int, tx_power: float,
             best_gain = gain
             best = idx
     config = PhaseConfig(indices=best, levels=levels)
-    return config, _rate_from_gain(best_gain, tx_power, noise_power)
+    return config, rate_from_gain(best_gain, tx_power, noise_power)
 
 
 def grouping_layout(irs_shape: tuple[int, int], grouping: GroupingSpec) -> np.ndarray:

@@ -1,5 +1,8 @@
 """Round-trip fidelity and diagnostics of the channel file format."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -135,6 +138,19 @@ def test_save_failure_leaves_no_partial_file(tmp_path):
         save_channels(random_channels(2), str(target))
     leftovers = [p for p in tmp_path.iterdir() if p.name != "occupied"]
     assert leftovers == []
+
+
+def test_saved_file_mode_matches_plain_open(tmp_path):
+    old_umask = os.umask(0o022)
+    try:
+        plain = tmp_path / "plain.txt"
+        with open(plain, "w"):
+            pass
+        saved = tmp_path / "saved.txt"
+        save_channels(random_channels(0), str(saved))
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(saved.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
 def test_load_missing_file(tmp_path):

@@ -10,11 +10,14 @@ import pytest
 from irslink import (
     ConfigError,
     Scenario,
+    Scheme,
     SweepSpec,
     load_channels,
     parse_config,
+    rate,
     rician_channel,
     save_channels,
+    solve,
     successive_refinement,
 )
 from irslink.cli import main
@@ -133,13 +136,18 @@ def test_sweep_missing_required_key():
 
 
 def test_sweep_bad_range_spec():
-    base = TINY_SCENARIO + "[sweep]\nvariable = tx_power\nvalues = %s\nschemes = no_irs\n"
-    with pytest.raises(ConfigError, match="start:stop:step"):
-        parse_config(base % "0:30")
-    with pytest.raises(ConfigError, match="step > 0"):
-        parse_config(base % "0:30:-2")
-    with pytest.raises(ConfigError, match="comma list"):
-        parse_config(base % "a, b")
+    base = TINY_SCENARIO + "[sweep]\nvariable = %s\nvalues = %s\nschemes = no_irs\n"
+    for variable, values, match in (
+            ("tx_power", "0:30", "start:stop:step"),
+            ("tx_power", "0:30:-2", "step > 0"),
+            ("tx_power", "a, b", "comma list"),
+            ("tx_power", "0:inf:1", r"values \(line 13\): range bounds must be finite"),
+            ("tx_power", "0, 4000", r"values \(line 13\): tx_power 4000 is out of range"),
+            ("tx_power", "-5000", r"tx_power -5000 is out of range: tx_power must be positive"),
+            ("vehicle_offset_c_v", "0, inf", r"c_v must be finite"),
+            ("quantization_bits", "2, inf", r"\(line 11\): quantization_bits values must be")):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(base % (variable, values))
 
 
 def test_sweep_bad_scheme_label():
@@ -232,21 +240,21 @@ def test_cli_optimize_schemes(tiny_config, capsys):
 
 
 def test_cli_optimize_imported_channels_match(tiny_config, tmp_path, capsys):
-    # exporting a draw and optimizing the file must equal the in-process
-    # run on the same matrices
+    # optimizing an exported draw from the command line must equal solve()
+    # plus rate() on the same file, for every scheme
     scn = Scenario(irs_rows=4, irs_cols=4, bs_rows=2, bs_cols=1)
-    channels = rician_channel(scn, np.random.default_rng(8))
     chfile = str(tmp_path / "draw.txt")
-    save_channels(channels, chfile)
+    save_channels(rician_channel(scn, np.random.default_rng(8)), chfile)
+    channels = load_channels(chfile)
 
-    assert main(["optimize", "--config", tiny_config,
-                 "--channels", chfile]) == 0
-    out = capsys.readouterr().out
-    report = successive_refinement(channels, 4, scn.tx_power, scn.n0)
-    assert float(out.split("\n")[0].split()[1]) == pytest.approx(
-        report.rate_trace[-1], rel=1e-11)
-    got_phases = [int(t) for t in out.strip().split("\n")[3].split()[1:]]
-    assert got_phases == list(report.final_phases.indices)
+    for label in ("full_csi", "grouped_2x2", "position_based"):
+        assert main(["optimize", "--config", tiny_config, "--channels", chfile,
+                     "--scheme", label]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        report = solve(scn, channels, Scheme.parse(label), 4, 1e-6)
+        achieved = rate(channels, report.final_phases, scn.tx_power, scn.n0)
+        assert lines[0] == "rate_bps_hz %.12g" % achieved, label
+        assert lines[3].split()[1:] == [str(k) for k in report.final_phases.indices]
 
 
 def test_cli_optimize_out_file(tiny_config, tmp_path, capsys):
@@ -355,6 +363,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg.write_text("[scenario]\nirs_rows = -2\n")
     assert main(["optimize", "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
+
+    # a swept value outside the model fails at parse time, before any trial
+    cfg.write_text(TINY_SCENARIO + "[sweep]\nvariable = tx_power\n"
+                   "values = 0, 4000\nschemes = no_irs\n")
+    out_path = tmp_path / "t.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_path)]) == 2
+    assert "[sweep] values (line 13)" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

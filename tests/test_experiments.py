@@ -73,6 +73,9 @@ def test_sweep_spec_validation():
         replace(ok, swept_variable="quantization_bits", sweep_values=(1.5,))
     with pytest.raises(ValueError):
         replace(ok, swept_variable="quantization_bits", sweep_values=(0.0,))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            replace(ok, swept_variable="quantization_bits", sweep_values=(bad,))
 
 
 def test_scenario_for_value_vehicle_offset():
