@@ -185,6 +185,12 @@ class ChannelSet:
     def num_irs_elements(self) -> int:
         return self.h_r.shape[1]
 
+    @property
+    def cascade(self) -> np.ndarray:
+        """Phi = H_r diag(h_v), shape (M, N); column n is element n's
+        cascaded channel."""
+        return self.h_r * self.h_v[np.newaxis, :]
+
 
 def device_positions(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Global xyz of (bs, irs, vehicle) under the module's conventions."""

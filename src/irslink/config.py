@@ -7,10 +7,11 @@ INI-style sections mirror the object model:
     [sweep]      variable, values, schemes, trials, master_seed
 
 ``values`` accepts a comma list (``1, 2, 4``) or an inclusive range
-``start:stop:step``. ``tx_power`` sweeps are quoted in dBm. ``schemes``
-is a comma list of labels: no_irs, full_csi, grouped_RxC,
-position_based. Unknown keys or sections are rejected with the
-offending line number.
+``start:stop:step`` of at most 100000 points. ``tx_power`` sweeps are
+quoted in dBm; ``quantization_bits`` values, like ``levels``, are capped
+at a 65536-point phase set. ``schemes`` is a comma list of labels:
+no_irs, full_csi, grouped_RxC, position_based. Unknown keys or sections
+are rejected with the offending line number.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 
 from .channel import Scenario
 from .experiments import Scheme, SweepSpec, scenario_for_value
+from .optimizer import MAX_LEVELS
 
 
 class ConfigError(ValueError):
@@ -33,6 +35,9 @@ _SCENARIO_FLOAT_KEYS = ("a_irs", "a_bs", "a_v", "b_bs", "c_bs", "b_v", "c_v",
                         "tx_power", "noise_power", "bandwidth", "noise_figure_db")
 _OPTIMIZER_KEYS = ("levels", "epsilon", "max_outer_iters", "seed")
 _SWEEP_KEYS = ("variable", "values", "schemes", "trials", "master_seed")
+# Most points a start:stop:step range may expand to; checked before the
+# values are built, so a typo in the step cannot exhaust memory.
+MAX_RANGE_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -43,8 +48,9 @@ class OptimizerSettings:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.levels < 1:
-            raise ConfigError(f"levels must be >= 1, got {self.levels!r}")
+        if not 1 <= self.levels <= MAX_LEVELS:
+            raise ConfigError(f"levels must be in [1, {MAX_LEVELS}], "
+                              f"got {self.levels!r}")
         if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon!r}")
         if self.max_outer_iters < 1:
@@ -165,7 +171,12 @@ def _build_optimizer(parser, lines) -> OptimizerSettings:
         for key, value in items.items():
             kind = "float" if key == "epsilon" else "int"
             kwargs[key] = _parse_scalar(value, kind, "optimizer", key, lines)
-    return OptimizerSettings(**kwargs)
+    try:
+        return OptimizerSettings(**kwargs)
+    except ConfigError as exc:
+        key = str(exc).split()[0]
+        raise ConfigError(f"[optimizer] {key} ({_loc(lines, 'optimizer', key)}): "
+                          f"{exc}") from None
 
 
 def _parse_values(value: str, lines: dict) -> tuple:
@@ -187,7 +198,11 @@ def _parse_values(value: str, lines: dict) -> tuple:
         if not step > 0 or stop < start:
             raise ConfigError(f"[sweep] values ({loc}): need step > 0 and "
                               f"stop >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step + 1e-9
+        if span >= MAX_RANGE_POINTS:
+            raise ConfigError(f"[sweep] values ({loc}): range has more than "
+                              f"{MAX_RANGE_POINTS} points, got {value!r}")
+        count = int(math.floor(span)) + 1
         return tuple(start + i * step for i in range(count))
     try:
         return tuple(float(tok) for tok in text.split(","))

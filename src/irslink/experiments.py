@@ -20,11 +20,12 @@ import numpy as np
 
 from .channel import ChannelSet, Scenario, rician_channel
 from .link import rate, rate_from_gain
-from .optimizer import (DEFAULT_EPSILON, DEFAULT_MAX_OUTER_ITERS, GroupingSpec,
-                        RefinementReport, optimize_grouped,
+from .optimizer import (DEFAULT_EPSILON, DEFAULT_MAX_OUTER_ITERS, MAX_LEVELS,
+                        GroupingSpec, RefinementReport, optimize_grouped,
                         optimize_position_based, successive_refinement)
 
 SWEEP_VARIABLES = ("vehicle_offset_c_v", "tx_power", "quantization_bits")
+MAX_QUANTIZATION_BITS = MAX_LEVELS.bit_length() - 1
 
 SCHEME_NAMES = ("no_irs", "full_csi", "grouped", "position_based")
 
@@ -62,7 +63,7 @@ class Scheme:
                 return cls("grouped", int(parts[0]), int(parts[1]))
             raise ValueError(f"bad grouped scheme label {label!r}, "
                              f"expected grouped_RxC")
-        if text in ("no_irs", "full_csi", "position_based"):
+        if text != "grouped" and text in SCHEME_NAMES:
             return cls(text)
         raise ValueError(f"unknown scheme label {label!r}")
 
@@ -96,9 +97,10 @@ class SweepSpec:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed!r}")
         if self.swept_variable == "quantization_bits":
             for val in self.sweep_values:
-                if not math.isfinite(val) or val != int(val) or val < 1:
-                    raise ValueError(f"quantization_bits values must be positive "
-                                     f"integers, got {val!r}")
+                if not (math.isfinite(val) and val == int(val)
+                        and 1 <= val <= MAX_QUANTIZATION_BITS):
+                    raise ValueError(f"quantization_bits values must be integers "
+                                     f"in [1, {MAX_QUANTIZATION_BITS}], got {val!r}")
 
 
 @dataclass(frozen=True)

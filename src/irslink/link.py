@@ -2,14 +2,15 @@
 
 The uplink BS applies maximum-ratio combining, so the post-combining SNR
 is P * ||h_d + H_r diag(v) h_v||^2 / N0 with v the unit-modulus
-reflection vector. Written as a quadratic form in v the array gain is
+reflection vector. With Phi = H_r diag(h_v) (M x N) the array gain is
 
-    ||h_eff||^2 = v^H A v + 2 Re{v^H b} + ||h_d||^2,
+    ||h_eff||^2 = ||Phi v + h_d||^2 = v^H A v + 2 Re{v^H b} + ||h_d||^2,
 
-with Phi = H_r diag(h_v), A = Phi^H Phi (Hermitian PSD) and
-b = Phi^H h_d. Iterative phase searches work on (A, b, c); one-off
-evaluations go through the direct form. The two must agree to float
-precision and the tests check that.
+with A = Phi^H Phi (Hermitian PSD, rank <= M) and b = Phi^H h_d. The
+phase search in the optimizer module works on Phi and h_d directly and
+never forms the N x N matrix A; ``build_quadratic_form`` and the helpers
+around it are kept as public API and as the reference the tests check
+the search and the direct form against, to float precision.
 """
 
 from __future__ import annotations
@@ -70,15 +71,12 @@ def effective_channel(channels: ChannelSet, config: PhaseConfig) -> np.ndarray:
 
 
 def build_quadratic_form(channels: ChannelSet) -> QuadraticForm:
-    phi = channels.h_r * channels.h_v[np.newaxis, :]
-    return _quadratic_form_from_phi(phi, channels.h_d)
-
-
-def _quadratic_form_from_phi(phi: np.ndarray, h_d: np.ndarray) -> QuadraticForm:
+    """(A, b, c) of the array gain; A is N x N, so O(M N^2) time."""
+    phi = channels.cascade
     a = phi.conj().T @ phi
     a = 0.5 * (a + a.conj().T)
-    b = phi.conj().T @ h_d
-    c = float(np.vdot(h_d, h_d).real)
+    b = phi.conj().T @ channels.h_d
+    c = float(np.vdot(channels.h_d, channels.h_d).real)
     return QuadraticForm(a=a, b=b, c=c)
 
 

@@ -1,26 +1,33 @@
 """Discrete IRS phase optimization.
 
-Center piece is a successive-refinement search: cyclic coordinate ascent
-over the element phases where each element n is moved to the member of
-the discrete phase set closest to the angle of its cross-term
+Center piece is a successive-refinement search (Wu & Zhang, "Beamforming
+Optimization for Wireless Network Aided by IRS with Discrete Phase
+Shifts", IEEE TCOM 2020): cyclic coordinate ascent over the element
+phases where each element n is moved to the member of the discrete phase
+set closest to the angle of its cross-term
 
-    kappa_n = sum_{j != n} A[n, j] v_j + b[n].
+    kappa_n = phi_n^H y - ||phi_n||^2 v_n,    y = Phi v + h_d,
 
-That choice maximizes the element's contribution 2 Re{conj(v_n) kappa_n}
-exactly, so the array gain never decreases. The sweep repeats until the
-rate improves by at most epsilon between consecutive passes.
+with phi_n the n-th column of Phi = H_r diag(h_v). That choice maximizes
+the element's contribution 2 Re{conj(v_n) kappa_n} exactly, so the array
+gain ||y||^2 never decreases. The sweep repeats until the rate improves
+by at most epsilon between consecutive passes.
 
-Implementation notes that matter for reproducibility:
+Implementation notes that matter for reproducibility and cost:
 
 * A coordinate only moves on a strict improvement of its local term;
   ties (including kappa_n == 0) keep the current phase. This makes
   traces non-decreasing by construction and runs deterministic.
-* w = A v is refreshed at the start of every sweep and updated in O(N)
-  after each accepted move, so a full sweep costs O(N^2) like a single
-  matrix-vector product.
+* The search tracks the M-vector y, never the N x N matrix
+  A = Phi^H Phi (rank <= M): setup costs O(M N), each visit O(M) for
+  kappa_n and each accepted move O(M) for y += phi_n (v_n' - v_n), so a
+  sweep costs O(M N) time and the search O(M N) memory.
+* Rounding to the phase grid compares only the two grid points around
+  the target, with the distance expression and tie rule of
+  ``quantize_phase``, so both give the same index.
 * The reported trace accumulates the exact per-move improvements on top
   of the initial gain; agreement with a from-scratch evaluation is a
-  tested invariant of the link module.
+  tested invariant.
 """
 
 from __future__ import annotations
@@ -32,11 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet, Scenario, los_channel_matrix
-from .link import (PhaseConfig, QuadraticForm, build_quadratic_form,
-                   _quadratic_form_from_phi, quadratic_gain, rate, rate_from_gain)
+from .link import (PhaseConfig, build_quadratic_form, quadratic_gain, rate,
+                   rate_from_gain)
 
 DEFAULT_EPSILON = 1e-6
 DEFAULT_MAX_OUTER_ITERS = 100
+# Largest phase set a configuration may ask for (16 quantization bits).
+# The search builds a table with one entry per level, so an unbounded
+# value could ask for more memory than any host has.
+MAX_LEVELS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -58,15 +69,18 @@ class RefinementReport:
 
     ``rate_trace`` holds the rate after initialization and after each
     sweep (len = iterations + 1). ``converged`` is True when the last
-    sweep changed the rate by at most epsilon. For the position-based
-    scheme the trace is re-evaluated on the true channels, so it need
-    not be monotone there.
+    sweep changed the rate by at most epsilon. ``accepted_moves`` counts
+    the phase changes the search made over all sweeps. For the
+    position-based scheme the trace is re-evaluated on the true
+    channels, so it need not be monotone there, while ``iterations``,
+    ``converged`` and ``accepted_moves`` describe the LOS-side search.
     """
 
     final_phases: PhaseConfig
     rate_trace: tuple[float, ...]
     iterations: int
     converged: bool
+    accepted_moves: int
 
 
 def phase_set(levels: int) -> np.ndarray:
@@ -86,63 +100,94 @@ def quantize_phase(target_angle: float, levels: int) -> int:
         raise ValueError(f"levels must be a positive integer, got {levels!r}")
     if not math.isfinite(target_angle):
         raise ValueError(f"target angle must be finite, got {target_angle!r}")
+    return _nearest_level(target_angle, levels)
+
+
+def _nearest_level(target_angle: float, levels: int) -> int:
+    """quantize_phase without argument checks.
+
+    With x the angle in grid steps, reduced to [0, L], only floor(x) and
+    floor(x) + 1 (mod L) can be nearest: every other grid point is at
+    least one step away, and rounding cannot bring it below the half
+    step the nearer of the two is within. The distance is computed as
+    min(|x - k|, L - |x - k|) for k in [0, L), and a tie goes to the
+    smaller index, as an argmin over the whole grid would.
+    """
     x = math.fmod(target_angle * levels / (2.0 * math.pi), levels)
     if x < 0.0:
         x += levels
-    d = np.abs(x - np.arange(levels))
-    d = np.minimum(d, levels - d)
-    return int(np.argmin(d))
+    lo = int(x) % levels
+    hi = (lo + 1) % levels
+    d_lo = abs(x - lo)
+    if levels - d_lo < d_lo:
+        d_lo = levels - d_lo
+    d_hi = abs(x - hi)
+    if levels - d_hi < d_hi:
+        d_hi = levels - d_hi
+    if d_hi < d_lo or (d_hi == d_lo and hi < lo):
+        return hi
+    return lo
 
 
-def _refine(form: QuadraticForm, levels: int, tx_power: float, noise_power: float,
-            init_indices: np.ndarray, epsilon: float, max_outer_iters: int,
-            record_configs: bool = False):
+def _refine(phi: np.ndarray, h_d: np.ndarray, levels: int, tx_power: float,
+            noise_power: float, init_indices: np.ndarray, epsilon: float,
+            max_outer_iters: int, record_configs: bool = False):
     """Coordinate-ascent core shared by all refinement entry points.
 
-    Returns (indices, trace, iterations, converged, configs) where
-    configs lists the index vector after init and after each sweep when
-    record_configs is set (otherwise None).
+    Maximizes ||phi v + h_d||^2 over the discrete phases of v. Returns
+    (indices, trace, iterations, converged, accepted_moves, configs)
+    where configs lists the index vector after init and after each sweep
+    when record_configs is set (otherwise None).
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     if max_outer_iters < 1:
         raise ValueError(f"max_outer_iters must be >= 1, got {max_outer_iters!r}")
 
-    size = form.b.shape[0]
-    table = np.exp(1j * np.arange(levels) * (2.0 * np.pi / levels))
-    idx = np.asarray(init_indices, dtype=np.int64).copy()
-    v = table[idx]
+    # Per-element state lives in Python lists: with O(M) work per visit
+    # the interpreter, not numpy, sets the cost, and list indexing and
+    # Python complex arithmetic beat numpy scalar access there.
+    table = np.exp(1j * np.arange(levels) * (2.0 * np.pi / levels)).tolist()
+    rows = np.ascontiguousarray(phi.T)
+    cols = list(rows)
+    conj_dots = [col.dot for col in rows.conj()]
+    norms = (phi.real ** 2 + phi.imag ** 2).sum(axis=0).tolist()
+    idx = [int(k) for k in init_indices]
+    v = [table[k] for k in idx]
+    y = phi @ np.array(v, dtype=np.complex128) + h_d
 
-    gain = quadratic_gain(form, v)
+    gain = float(np.vdot(y, y).real)
     trace = [rate_from_gain(gain, tx_power, noise_power)]
-    configs = [idx.copy()] if record_configs else None
-    diag = np.real(np.diag(form.a))
+    configs = [list(idx)] if record_configs else None
 
     iterations = 0
+    accepted = 0
     converged = False
     for _ in range(max_outer_iters):
-        w = form.a @ v
-        for n in range(size):
-            kappa = w[n] - diag[n] * v[n] + form.b[n]
+        for n in range(len(idx)):
+            kappa = complex(conj_dots[n](y)) - norms[n] * v[n]
             if kappa == 0.0:
                 continue
-            best = quantize_phase(math.atan2(kappa.imag, kappa.real), levels)
+            best = _nearest_level(math.atan2(kappa.imag, kappa.real), levels)
             if best == idx[n]:
                 continue
-            gain_step = 2.0 * ((table[best] - v[n]).conjugate() * kappa).real
+            delta = table[best] - v[n]
+            gain_step = 2.0 * (delta.conjugate() * kappa).real
             if gain_step > 0.0:
-                w += form.a[:, n] * (table[best] - v[n])
+                y += cols[n] * delta
                 v[n] = table[best]
                 idx[n] = best
                 gain += gain_step
+                accepted += 1
         iterations += 1
         trace.append(rate_from_gain(gain, tx_power, noise_power))
         if record_configs:
-            configs.append(idx.copy())
+            configs.append(list(idx))
         if abs(trace[-1] - trace[-2]) <= epsilon:
             converged = True
             break
-    return idx, trace, iterations, converged, configs
+    return (np.array(idx, dtype=np.int64), trace, iterations, converged,
+            accepted, configs)
 
 
 def successive_refinement(channels: ChannelSet, levels: int, tx_power: float,
@@ -163,12 +208,12 @@ def successive_refinement(channels: ChannelSet, levels: int, tx_power: float,
         if init_phases.indices.shape[0] != n:
             raise ValueError("init_phases length does not match element count")
         init = init_phases.indices
-    form = build_quadratic_form(channels)
-    idx, trace, iterations, converged, _ = _refine(
-        form, levels, tx_power, noise_power, init, epsilon, max_outer_iters)
+    idx, trace, iterations, converged, accepted, _ = _refine(
+        channels.cascade, channels.h_d, levels, tx_power, noise_power, init,
+        epsilon, max_outer_iters)
     return RefinementReport(final_phases=PhaseConfig(indices=idx, levels=levels),
                             rate_trace=tuple(trace), iterations=iterations,
-                            converged=converged)
+                            converged=converged, accepted_moves=accepted)
 
 
 def brute_force(channels: ChannelSet, levels: int, tx_power: float,
@@ -237,18 +282,19 @@ def optimize_grouped(channels: ChannelSet, irs_shape: tuple[int, int],
     group_of = grouping_layout(irs_shape, grouping)
     num_groups = int(group_of.max()) + 1
 
-    phi = channels.h_r * channels.h_v[np.newaxis, :]
+    phi = channels.cascade
     phi_red = np.empty((phi.shape[0], num_groups), dtype=np.complex128)
     for g in range(num_groups):
         phi_red[:, g] = phi[:, group_of == g].sum(axis=1)
-    form = _quadratic_form_from_phi(phi_red, channels.h_d)
 
     init = np.zeros(num_groups, dtype=np.int64)
-    red_idx, trace, iterations, converged, _ = _refine(
-        form, levels, tx_power, noise_power, init, epsilon, max_outer_iters)
+    red_idx, trace, iterations, converged, accepted, _ = _refine(
+        phi_red, channels.h_d, levels, tx_power, noise_power, init, epsilon,
+        max_outer_iters)
     full = PhaseConfig(indices=red_idx[group_of], levels=levels)
     return RefinementReport(final_phases=full, rate_trace=tuple(trace),
-                            iterations=iterations, converged=converged)
+                            iterations=iterations, converged=converged,
+                            accepted_moves=accepted)
 
 
 def optimize_position_based(scenario: Scenario, true_channels: ChannelSet,
@@ -267,15 +313,14 @@ def optimize_position_based(scenario: Scenario, true_channels: ChannelSet,
             or true_channels.num_bs_antennas != scenario.bs_antennas):
         raise ValueError("true_channels dimensions do not match the scenario")
     estimate = los_channel_matrix(scenario)
-    form = build_quadratic_form(estimate)
     init = np.zeros(scenario.irs_elements, dtype=np.int64)
-    idx, _, iterations, converged, configs = _refine(
-        form, levels, tx_power, noise_power, init, epsilon, max_outer_iters,
-        record_configs=True)
+    idx, _, iterations, converged, accepted, configs = _refine(
+        estimate.cascade, estimate.h_d, levels, tx_power, noise_power, init,
+        epsilon, max_outer_iters, record_configs=True)
     achieved = tuple(
         rate(true_channels, PhaseConfig(indices=cfg, levels=levels),
              tx_power, noise_power)
         for cfg in configs)
     return RefinementReport(final_phases=PhaseConfig(indices=idx, levels=levels),
                             rate_trace=achieved, iterations=iterations,
-                            converged=converged)
+                            converged=converged, accepted_moves=accepted)

@@ -87,8 +87,15 @@ def test_optimizer_settings_defaults_and_parse():
     assert settings.levels == 8
     assert settings.epsilon == 1e-8
     assert settings.seed == 9
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"\[optimizer\] levels \(line 2\)"):
         parse_optimizer_settings("[optimizer]\nlevels = 0\n")
+    # the phase set is capped at 16 bits; the check allocates nothing
+    assert parse_optimizer_settings("[optimizer]\nlevels = 65536\n").levels == 65536
+    with pytest.raises(ConfigError, match=r"\[optimizer\] levels \(line 2\): "
+                                          r"levels must be in \[1, 65536\]"):
+        parse_optimizer_settings("[optimizer]\nlevels = 65537\n")
+    with pytest.raises(ConfigError, match=r"\[optimizer\] levels \(--set override\)"):
+        parse_optimizer_settings("", ("optimizer.levels=1099511627776",))
     with pytest.raises(ConfigError, match="unknown key"):
         parse_optimizer_settings("[optimizer]\nstep_size = 0.1\n")
 
@@ -123,6 +130,14 @@ def test_sweep_values_comma_list_and_negative_range():
     assert spec.sweep_values == (-20.0, -10.0, 0.0, 10.0, 20.0)
 
 
+def test_sweep_range_point_cap_boundary():
+    base = TINY_SCENARIO + ("[sweep]\nvariable = vehicle_offset_c_v\nvalues = %s\n"
+                            "schemes = no_irs\n")
+    assert len(parse_config(base % "0:99999:1").sweep_values) == 100000
+    with pytest.raises(ConfigError, match="range has more than 100000 points"):
+        parse_config(base % "0:100000:1")
+
+
 def test_sweep_trials_default():
     text = TINY_SCENARIO + ("[sweep]\nvariable = tx_power\nvalues = 0, 10\n"
                             "schemes = no_irs\n")
@@ -145,7 +160,14 @@ def test_sweep_bad_range_spec():
             ("tx_power", "0, 4000", r"values \(line 13\): tx_power 4000 is out of range"),
             ("tx_power", "-5000", r"tx_power -5000 is out of range: tx_power must be positive"),
             ("vehicle_offset_c_v", "0, inf", r"c_v must be finite"),
-            ("quantization_bits", "2, inf", r"\(line 11\): quantization_bits values must be")):
+            ("quantization_bits", "2, inf", r"\(line 11\): quantization_bits values must be"),
+            ("quantization_bits", "17", r"\(line 11\): quantization_bits values must be "
+                                        r"integers in \[1, 16\]"),
+            ("quantization_bits", "40", r"\(line 11\): quantization_bits values must be"),
+            ("quantization_bits", "1e300", r"\(line 11\): quantization_bits values must be"),
+            ("tx_power", "0:1e9:1", r"values \(line 13\): range has more than 100000 points"),
+            ("tx_power", "0:1e300:1e-300", r"values \(line 13\): range has more than"),
+            ("vehicle_offset_c_v", "-1e308:1e308:1", r"values \(line 13\): range has more")):
         with pytest.raises(ConfigError, match=match):
             parse_config(base % (variable, values))
 
@@ -186,6 +208,8 @@ def test_shipped_configs_parse():
     baseline = open(os.path.join(CONFIG_DIR, "v2i_baseline.cfg")).read()
     scn = parse_config(baseline)
     assert scn == Scenario()
+    large = open(os.path.join(CONFIG_DIR, "v2i_64x64.cfg")).read()
+    assert parse_config(large) == Scenario(irs_rows=64, irs_cols=64)
     for name, variable in (("sweep_power.cfg", "tx_power"),
                            ("sweep_position.cfg", "vehicle_offset_c_v"),
                            ("sweep_bits.cfg", "quantization_bits")):
@@ -371,6 +395,20 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg), "--out", str(out_path)]) == 2
     assert "[sweep] values (line 13)" in capsys.readouterr().err
     assert not out_path.exists()
+
+    # oversized phase sets and ranges are refused before anything is built
+    for variable, values, where in (
+            ("quantization_bits", "40", "[sweep] (line 11)"),
+            ("tx_power", "0:1e9:1", "[sweep] values (line 13)")):
+        cfg.write_text(TINY_SCENARIO + f"[sweep]\nvariable = {variable}\n"
+                       f"values = {values}\nschemes = full_csi\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out_path)]) == 2
+        assert where in capsys.readouterr().err
+        assert not out_path.exists()
+    cfg.write_text(TINY_SCENARIO)
+    assert main(["optimize", "--config", str(cfg),
+                 "--set", "optimizer.levels=1099511627776"]) == 2
+    assert "[optimizer] levels (--set override)" in capsys.readouterr().err
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

@@ -52,6 +52,8 @@ def test_scheme_labels_and_parse():
         Scheme.parse("grouped_2x")
     with pytest.raises(ValueError):
         Scheme.parse("grouped_0x2")
+    with pytest.raises(ValueError, match="unknown scheme label"):
+        Scheme.parse("grouped")
 
 
 def test_sweep_spec_validation():
@@ -73,9 +75,11 @@ def test_sweep_spec_validation():
         replace(ok, swept_variable="quantization_bits", sweep_values=(1.5,))
     with pytest.raises(ValueError):
         replace(ok, swept_variable="quantization_bits", sweep_values=(0.0,))
-    for bad in (math.inf, math.nan):
+    for bad in (math.inf, math.nan, 17.0, 40.0, 1e300):
         with pytest.raises(ValueError):
             replace(ok, swept_variable="quantization_bits", sweep_values=(bad,))
+    assert replace(ok, swept_variable="quantization_bits",
+                   sweep_values=(16.0,)).sweep_values == (16.0,)
 
 
 def test_scenario_for_value_vehicle_offset():

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irslink import (
     ChannelSet,
@@ -26,6 +28,8 @@ from irslink import (
     rician_channel,
     successive_refinement,
 )
+
+QUANTIZER_LEVELS = (1, 2, 3, 4, 8, 16, 256)
 
 
 def random_channels(rng, m, n):
@@ -76,6 +80,55 @@ def test_quantize_matches_direct_search():
         assert circ[got] <= circ.min() + 1e-12
 
 
+def argmin_quantize(target_angle, levels):
+    """Reference quantizer: circular distance to every grid point, first
+    index among exact ties."""
+    x = math.fmod(target_angle * levels / (2.0 * math.pi), levels)
+    if x < 0.0:
+        x += levels
+    d = np.abs(x - np.arange(levels))
+    d = np.minimum(d, levels - d)
+    return int(np.argmin(d))
+
+
+def nudged(angle, steps):
+    """angle moved by ``steps`` representable doubles (negative: down)."""
+    for _ in range(abs(steps)):
+        angle = math.nextafter(angle, math.copysign(math.inf, steps))
+    return angle
+
+
+def tie_angles(levels):
+    """Angles of every grid point and every midpoint, one turn either way,
+    with their nearest representable neighbours."""
+    for half_steps in range(-4 * levels, 4 * levels + 1):
+        angle = half_steps * math.pi / levels
+        for steps in (-2, -1, 0, 1, 2):
+            yield nudged(angle, steps)
+    for tiny in (5e-324, 1e-300, 1e-17):
+        yield tiny
+        yield -tiny
+
+
+@settings(max_examples=1000, deadline=None)
+@given(levels=st.sampled_from(QUANTIZER_LEVELS),
+       angle=st.one_of(
+           st.floats(-1e3, 1e3, allow_nan=False),
+           st.floats(-1e-300, 1e-300, allow_nan=False),
+           st.builds(lambda k, n, steps: nudged(k * math.pi / n, steps),
+                     st.integers(-1024, 1024), st.sampled_from(QUANTIZER_LEVELS),
+                     st.integers(-3, 3))))
+def test_quantize_matches_argmin_reference(levels, angle):
+    assert quantize_phase(angle, levels) == argmin_quantize(angle, levels)
+
+
+def test_quantize_matches_argmin_reference_on_every_tie():
+    for levels in QUANTIZER_LEVELS:
+        for angle in tie_angles(levels):
+            assert quantize_phase(angle, levels) == argmin_quantize(angle, levels), (
+                levels, angle)
+
+
 def test_refinement_scalar_instance_exact():
     # one element, h_d = 1, cascade coefficient e^{j pi/3}: of the four
     # quarter-turn phases, 3*pi/2 lands the cascade nearest alignment
@@ -100,6 +153,7 @@ def test_refinement_decoupled_objective_is_noop():
     assert list(report.final_phases.indices) == [0, 0]
     assert report.iterations == 1
     assert report.converged
+    assert report.accepted_moves == 0
     assert report.rate_trace[0] == report.rate_trace[-1]
 
 
@@ -361,3 +415,95 @@ def test_power_noise_common_scaling_leaves_argmax():
     b = successive_refinement(ch, 4, 0.1 * 7.3, 1e-9 * 7.3)
     assert np.array_equal(a.final_phases.indices, b.final_phases.indices)
     assert np.allclose(a.rate_trace, b.rate_trace, rtol=1e-12)
+
+
+def reference_refine(form, levels, tx_power, noise_power, epsilon=1e-6,
+                     max_outer_iters=100):
+    """Reference coordinate ascent on the N x N quadratic form, from zero
+    phases.
+
+    Tracks w = A v, recomputed at the start of every sweep, and rounds
+    with ``argmin_quantize``. Returns (indices, trace, iterations,
+    converged, accepted moves, index vector after init and each sweep).
+    """
+    size = form.b.shape[0]
+    table = np.exp(1j * np.arange(levels) * (2.0 * np.pi / levels))
+    idx = np.zeros(size, dtype=np.int64)
+    v = table[idx]
+    gain = quadratic_gain(form, v)
+    trace = [math.log2(1.0 + tx_power * gain / noise_power)]
+    configs = [idx.copy()]
+    diag = np.real(np.diag(form.a))
+    iterations, accepted, converged = 0, 0, False
+    for _ in range(max_outer_iters):
+        w = form.a @ v
+        for n in range(size):
+            kappa = w[n] - diag[n] * v[n] + form.b[n]
+            if kappa == 0.0:
+                continue
+            best = argmin_quantize(math.atan2(kappa.imag, kappa.real), levels)
+            if best == idx[n]:
+                continue
+            gain_step = 2.0 * ((table[best] - v[n]).conjugate() * kappa).real
+            if gain_step > 0.0:
+                w += form.a[:, n] * (table[best] - v[n])
+                v[n] = table[best]
+                idx[n] = best
+                gain += gain_step
+                accepted += 1
+        iterations += 1
+        trace.append(math.log2(1.0 + tx_power * gain / noise_power))
+        configs.append(idx.copy())
+        if abs(trace[-1] - trace[-2]) <= epsilon:
+            converged = True
+            break
+    return idx, trace, iterations, converged, accepted, configs
+
+
+def reference_report(scn, truth, scheme, levels=4):
+    """(indices, trace, iterations, converged, accepted) of one scheme by
+    the reference loop on the N x N form."""
+    p, n0 = scn.tx_power, scn.n0
+    if scheme == "position_based":
+        form = build_quadratic_form(los_channel_matrix(scn))
+        idx, _, its, conv, acc, configs = reference_refine(form, levels, p, n0)
+        trace = [rate(truth, PhaseConfig(indices=cfg, levels=levels), p, n0)
+                 for cfg in configs]
+        return idx, trace, its, conv, acc
+    if scheme == "full_csi":
+        idx, trace, its, conv, acc, _ = reference_refine(
+            build_quadratic_form(truth), levels, p, n0)
+        return idx, trace, its, conv, acc
+    group_of = grouping_layout((scn.irs_rows, scn.irs_cols), GroupingSpec(2, 2))
+    num_groups = int(group_of.max()) + 1
+    phi = truth.h_r * truth.h_v[np.newaxis, :]
+    phi_red = np.stack([phi[:, group_of == g].sum(axis=1)
+                        for g in range(num_groups)], axis=1)
+    reduced = ChannelSet(h_r=phi_red, h_v=np.ones(num_groups), h_d=truth.h_d)
+    idx, trace, its, conv, acc, _ = reference_refine(
+        build_quadratic_form(reduced), levels, p, n0)
+    return idx[group_of], trace, its, conv, acc
+
+
+@pytest.mark.parametrize("scheme", ["full_csi", "grouped_2x2", "position_based"])
+def test_rank_m_search_matches_n_by_n_reference(scheme):
+    cases = [(Scenario(irs_rows=16, irs_cols=16, c_v=float(seed % 21 - 10)), seed)
+             for seed in range(20)]
+    cases.append((Scenario(irs_rows=32, irs_cols=32, c_v=-3.0), 20))
+    for scn, seed in cases:
+        truth = rician_channel(scn, np.random.default_rng(seed))
+        p, n0 = scn.tx_power, scn.n0
+        if scheme == "full_csi":
+            report = successive_refinement(truth, 4, p, n0)
+        elif scheme == "grouped_2x2":
+            report = optimize_grouped(truth, (scn.irs_rows, scn.irs_cols),
+                                      GroupingSpec(2, 2), 4, p, n0)
+        else:
+            report = optimize_position_based(scn, truth, 4, p, n0)
+        idx, trace, its, conv, acc = reference_report(scn, truth, scheme)
+        assert np.array_equal(report.final_phases.indices, idx), seed
+        assert report.iterations == its, seed
+        assert report.converged == conv, seed
+        assert report.accepted_moves == acc > 0, seed
+        assert len(report.rate_trace) == len(trace)
+        assert np.allclose(report.rate_trace, trace, rtol=1e-12, atol=0), seed
