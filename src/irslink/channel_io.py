@@ -15,6 +15,7 @@ binary64 exactly.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
@@ -51,7 +52,12 @@ def save_channels(channels: ChannelSet, path: str) -> None:
 
 
 def load_channels(path: str) -> ChannelSet:
-    """Read a ChannelSet, validating dimensions and finiteness."""
+    """Read a ChannelSet, validating dimensions and finiteness.
+
+    The numbers are converted a block at a time (the M h_r lines, then
+    the N + M pair lines). A block that does not convert is parsed line by
+    line, so an error names the first bad line in file order.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.readlines()
 
@@ -91,32 +97,54 @@ def load_channels(path: str) -> ChannelSet:
             f"line {content[-1][0]}: expected {expected} data lines for "
             f"M={m}, N={n}, found {len(body)}")
 
-    def parse_row(lineno: int, text: str, pairs: int) -> np.ndarray:
+    try:
+        vals = np.concatenate([_convert_block(body[:m], 2 * n),
+                               _convert_block(body[m:], 2)])
+    except ValueError:
+        vals = _convert_lines(body, m, n)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        first = int(bad[0])
+        row = first // (2 * n) if first < 2 * m * n else m + (first - 2 * m * n) // 2
+        raise ChannelFileError(f"line {body[row][0]}: non-finite entry")
+
+    z = vals[0::2] + 1j * vals[1::2]
+    return ChannelSet(h_r=z[:m * n].reshape(m, n), h_v=z[m * n:m * n + n],
+                      h_d=z[m * n + n:])
+
+
+def _convert_block(lines: list, width: int) -> np.ndarray:
+    """Floats of data lines of ``width`` tokens each, in one pass.
+
+    numpy's text reader splits lines as ``str.split()`` does and converts
+    tokens with the string-to-double routine ``float()`` uses. It raises
+    ValueError on rows of unequal width and on some tokens ``float()``
+    takes (underscores, non-ASCII digits), and the reshape raises it on
+    a wrong width; the caller then parses line by line.
+    """
+    return np.loadtxt([text for _, text in lines], comments=None,
+                      ndmin=2).reshape(len(lines) * width)
+
+
+def _convert_lines(lines: list, m: int, n: int) -> np.ndarray:
+    """Floats of the data lines, one line at a time, raising at the first
+    bad line: a wrong token count, a token ``float()`` refuses, or a
+    non-finite entry."""
+    vals = []
+    for i, (lineno, text) in enumerate(lines):
         tokens = text.split()
-        if len(tokens) != 2 * pairs:
-            raise ChannelFileError(f"line {lineno}: expected {2 * pairs} floats, "
+        width = 2 * n if i < m else 2
+        if len(tokens) != width:
+            raise ChannelFileError(f"line {lineno}: expected {width} floats, "
                                    f"found {len(tokens)}")
         try:
-            vals = np.array([float(tok) for tok in tokens])
+            row = [float(tok) for tok in tokens]
         except ValueError as exc:
             raise ChannelFileError(f"line {lineno}: {exc}") from None
-        if not np.all(np.isfinite(vals)):
+        if not all(map(math.isfinite, row)):
             raise ChannelFileError(f"line {lineno}: non-finite entry")
-        return vals[0::2] + 1j * vals[1::2]
-
-    h_r = np.empty((m, n), dtype=np.complex128)
-    for i in range(m):
-        lineno, text = body[i]
-        h_r[i] = parse_row(lineno, text, n)
-    h_v = np.empty(n, dtype=np.complex128)
-    for i in range(n):
-        lineno, text = body[m + i]
-        h_v[i] = parse_row(lineno, text, 1)[0]
-    h_d = np.empty(m, dtype=np.complex128)
-    for i in range(m):
-        lineno, text = body[m + n + i]
-        h_d[i] = parse_row(lineno, text, 1)[0]
-    return ChannelSet(h_r=h_r, h_v=h_v, h_d=h_d)
+        vals += row
+    return np.array(vals, dtype=np.float64)
 
 
 def atomic_write_text(path: str, text: str) -> None:

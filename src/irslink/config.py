@@ -9,9 +9,10 @@ INI-style sections mirror the object model:
 ``values`` accepts a comma list (``1, 2, 4``) or an inclusive range
 ``start:stop:step`` of at most 100000 points. ``tx_power`` sweeps are
 quoted in dBm; ``quantization_bits`` values, like ``levels``, are capped
-at a 65536-point phase set. ``schemes`` is a comma list of labels:
-no_irs, full_csi, grouped_RxC, position_based. Unknown keys or sections
-are rejected with the offending line number.
+at a 65536-point phase set; no two values may print alike in the CSV's
+``%.12g``. ``schemes`` is a comma list of distinct labels: no_irs,
+full_csi, grouped_RxC, position_based. Unknown keys or sections are
+rejected with the offending line number.
 """
 
 from __future__ import annotations
@@ -203,12 +204,24 @@ def _parse_values(value: str, lines: dict) -> tuple:
             raise ConfigError(f"[sweep] values ({loc}): range has more than "
                               f"{MAX_RANGE_POINTS} points, got {value!r}")
         count = int(math.floor(span)) + 1
-        return tuple(start + i * step for i in range(count))
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise ConfigError(f"[sweep] values ({loc}): expected a comma list "
-                          f"of numbers, got {value!r}") from None
+        values = tuple(start + i * step for i in range(count))
+    else:
+        try:
+            values = tuple(float(tok) for tok in text.split(","))
+        except ValueError:
+            raise ConfigError(f"[sweep] values ({loc}): expected a comma list "
+                              f"of numbers, got {value!r}") from None
+    # Rows and dump keys print a value with %.12g: two values that print
+    # alike would give indistinguishable rows and one merged dump entry.
+    # Adding 0.0 folds -0 into 0, which the dump also keys as one value.
+    printed = {}
+    for v in values:
+        key = "%.12g" % (v + 0.0)
+        if key in printed:
+            raise ConfigError(f"[sweep] values ({loc}): {printed[key]!r} and "
+                              f"{v!r} both print as {key}")
+        printed[key] = v
+    return values
 
 
 def _build_sweep(parser, lines, scenario: Scenario,
@@ -226,6 +239,11 @@ def _build_sweep(parser, lines, scenario: Scenario,
     except ValueError as exc:
         raise ConfigError(f"[sweep] schemes ({_loc(lines, 'sweep', 'schemes')}): "
                           f"{exc}") from None
+    labels = [scheme.label for scheme in schemes]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ConfigError(f"[sweep] schemes ({_loc(lines, 'sweep', 'schemes')}): "
+                              f"scheme {label!r} is listed twice")
     trials = _parse_scalar(items.get("trials", "500"), "int", "sweep",
                            "trials", lines)
     master_seed = _parse_scalar(items.get("master_seed", "0"), "int", "sweep",

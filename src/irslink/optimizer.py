@@ -282,10 +282,14 @@ def optimize_grouped(channels: ChannelSet, irs_shape: tuple[int, int],
     group_of = grouping_layout(irs_shape, grouping)
     num_groups = int(group_of.max()) + 1
 
+    # Each group's columns in element order, summed as one contiguous run:
+    # the reduction a masked sum per group does. The sum comes out in
+    # Fortran order, and the search's products differ in the last bits by
+    # layout, so it is made C-ordered.
     phi = channels.cascade
-    phi_red = np.empty((phi.shape[0], num_groups), dtype=np.complex128)
-    for g in range(num_groups):
-        phi_red[:, g] = phi[:, group_of == g].sum(axis=1)
+    members = np.argsort(group_of, kind="stable")
+    phi_red = np.ascontiguousarray(
+        phi[:, members].reshape(phi.shape[0], num_groups, -1).sum(axis=2))
 
     init = np.zeros(num_groups, dtype=np.int64)
     red_idx, trace, iterations, converged, accepted, _ = _refine(

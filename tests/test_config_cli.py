@@ -167,9 +167,22 @@ def test_sweep_bad_range_spec():
             ("quantization_bits", "1e300", r"\(line 11\): quantization_bits values must be"),
             ("tx_power", "0:1e9:1", r"values \(line 13\): range has more than 100000 points"),
             ("tx_power", "0:1e300:1e-300", r"values \(line 13\): range has more than"),
-            ("vehicle_offset_c_v", "-1e308:1e308:1", r"values \(line 13\): range has more")):
+            ("vehicle_offset_c_v", "-1e308:1e308:1", r"values \(line 13\): range has more"),
+            ("tx_power", "2, 2", r"values \(line 13\): 2.0 and 2.0 both print as 2$"),
+            ("tx_power", "1, 1.0000000000001",
+             r"values \(line 13\): 1.0 and 1.0000000000001 both print as 1$"),
+            ("vehicle_offset_c_v", "0, 5, -0", r"values \(line 13\): 0.0 and -0.0"),
+            ("tx_power", "1:1.000000000002:1e-12", r"values \(line 13\): 1.0 and "),
+            ("quantization_bits", "1, 2, 2", r"values \(line 13\): 2.0 and 2.0")):
         with pytest.raises(ConfigError, match=match):
             parse_config(base % (variable, values))
+    base = TINY_SCENARIO + "[sweep]\nvariable = tx_power\nvalues = 0\nschemes = %s\n"
+    for schemes, label in (("full_csi, full_csi", "full_csi"),
+                           ("no_irs, grouped_2x2,grouped_2x2 ", "grouped_2x2"),
+                           ("grouped_1x1, no_irs, grouped_1x1", "grouped_1x1")):
+        with pytest.raises(ConfigError, match=rf"schemes \(line 14\): scheme "
+                                              rf"'{label}' is listed twice"):
+            parse_config(base % schemes)
 
 
 def test_sweep_bad_scheme_label():
@@ -397,11 +410,15 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert not out_path.exists()
 
     # oversized phase sets and ranges are refused before anything is built
-    for variable, values, where in (
-            ("quantization_bits", "40", "[sweep] (line 11)"),
-            ("tx_power", "0:1e9:1", "[sweep] values (line 13)")):
+    # and so are sweep points or schemes that would repeat a CSV row
+    for variable, values, schemes, where in (
+            ("quantization_bits", "40", "full_csi", "[sweep] (line 11)"),
+            ("tx_power", "0:1e9:1", "full_csi", "[sweep] values (line 13)"),
+            ("tx_power", "2, 2", "full_csi", "[sweep] values (line 13)"),
+            ("tx_power", "1, 1.0000000000001", "full_csi", "[sweep] values (line 13)"),
+            ("tx_power", "0", "full_csi, full_csi", "[sweep] schemes (line 14)")):
         cfg.write_text(TINY_SCENARIO + f"[sweep]\nvariable = {variable}\n"
-                       f"values = {values}\nschemes = full_csi\n")
+                       f"values = {values}\nschemes = {schemes}\n")
         assert main(["sweep", "--config", str(cfg), "--out", str(out_path)]) == 2
         assert where in capsys.readouterr().err
         assert not out_path.exists()

@@ -28,6 +28,7 @@ from irslink import (
     rician_channel,
     successive_refinement,
 )
+from irslink import optimizer as optimizer_module
 
 QUANTIZER_LEVELS = (1, 2, 3, 4, 8, 16, 256)
 
@@ -356,6 +357,39 @@ def test_grouped_expands_groupwise():
         for c in range(0, 4, 2):
             block = grid[r:r + 2, c:c + 2]
             assert np.all(block == block[0, 0])
+
+
+def masked_group_cascade(phi, group_of):
+    """Group-summed Phi, one boolean mask and one sum per group."""
+    num_groups = int(group_of.max()) + 1
+    out = np.empty((phi.shape[0], num_groups), dtype=np.complex128)
+    for g in range(num_groups):
+        out[:, g] = phi[:, group_of == g].sum(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("shape, group", [
+    ((16, 16), (2, 2)), ((16, 16), (4, 4)), ((64, 64), (4, 4)),
+    ((6, 9), (3, 3)), ((16, 16), (1, 1)), ((6, 9), (1, 1)),
+], ids=["16x16-2x2", "16x16-4x4", "64x64-4x4", "6x9-3x3", "16x16-1x1", "6x9-1x1"])
+def test_grouped_cascade_matches_masked_sum_bit_for_bit(monkeypatch, shape, group):
+    scn = Scenario(irs_rows=shape[0], irs_cols=shape[1])
+    ch = rician_channel(scn, np.random.default_rng(shape[0] * shape[1]))
+    grouping = GroupingSpec(*group)
+    seen = []
+    real_refine = optimizer_module._refine
+
+    def recording_refine(phi, *args, **kwargs):
+        seen.append(phi)
+        return real_refine(phi, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer_module, "_refine", recording_refine)
+    optimize_grouped(ch, shape, grouping, 4, scn.tx_power, scn.n0)
+    want = masked_group_cascade(ch.cascade, grouping_layout(shape, grouping))
+    assert len(seen) == 1
+    # the layout too: the search's products differ in the last bits by it
+    assert (seen[0].shape, seen[0].strides) == (want.shape, want.strides)
+    assert seen[0].tobytes() == want.tobytes()
 
 
 def test_position_based_exact_when_channels_are_los():
