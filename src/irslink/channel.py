@@ -83,22 +83,38 @@ class Scenario:
             val = getattr(self, key)
             if not isinstance(val, int) or val < 1:
                 raise ValueError(f"{key} must be a positive integer, got {val!r}")
-        for key in ("f_c", "tx_power", "bandwidth"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
-        if self.element_spacing is not None and not self.element_spacing > 0:
-            raise ValueError(f"element_spacing must be positive, got {self.element_spacing!r}")
-        if self.noise_power is not None and not self.noise_power > 0:
-            raise ValueError(f"noise_power must be positive, got {self.noise_power!r}")
+        for key in ("f_c", "tx_power", "bandwidth", "element_spacing", "noise_power"):
+            val = getattr(self, key)
+            if val is not None and not val > 0:
+                raise ValueError(f"{key} must be positive, got {val!r}")
         if self.noise_figure_db < 0:
             raise ValueError(f"noise_figure_db must be non-negative, got {self.noise_figure_db!r}")
         for key in ("beta_r", "beta_v", "beta_d"):
             beta = getattr(self, key)
             if math.isnan(beta) or beta < 0:
                 raise ValueError(f"{key} must be >= 0 or inf, got {beta!r}")
-        for key in ("a_irs", "a_bs", "a_v", "b_bs", "c_bs", "b_v", "c_v"):
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite, got {getattr(self, key)!r}")
+        for key in ("a_irs", "a_bs", "a_v", "b_bs", "c_bs", "b_v", "c_v", "f_c",
+                    "element_spacing", "tx_power", "noise_power", "bandwidth",
+                    "noise_figure_db"):
+            val = getattr(self, key)
+            if val is not None and not math.isfinite(val):
+                raise ValueError(f"{key} must be finite, got {val!r}")
+        try:
+            # the largest gain any link can have: the one at the 1 m clamp
+            path_loss_umi_los(1.0, self.f_c)
+        except OverflowError:
+            raise ValueError(f"f_c {self.f_c!r} Hz gives a path-loss gain "
+                             f"beyond the float range") from None
+        try:
+            n0 = self.n0
+        except OverflowError:
+            n0 = math.inf
+        if not 0 < n0 < math.inf:
+            # k*T*B*F with F >= 1: only a tiny bandwidth rounds it to 0, and
+            # only a huge noise figure takes it past the float range
+            key = "bandwidth" if n0 == 0 else "noise_figure_db"
+            raise ValueError(f"{key} gives a noise power k*T*B*F of {n0!r} W, "
+                             f"which must be finite and positive")
 
     @property
     def bs_antennas(self) -> int:
@@ -158,9 +174,10 @@ class ChannelSet:
     h_d: np.ndarray
 
     def __post_init__(self) -> None:
-        h_r = np.asarray(self.h_r, dtype=np.complex128)
-        h_v = np.asarray(self.h_v, dtype=np.complex128)
-        h_d = np.asarray(self.h_d, dtype=np.complex128)
+        # Stored C-ordered: the search's sums depend on the layout of Phi in
+        # the last bit, so equal values must mean equal bits.
+        h_r, h_v, h_d = (np.asarray(a, dtype=np.complex128, order="C")
+                         for a in (self.h_r, self.h_v, self.h_d))
         if h_r.ndim != 2:
             raise ValueError(f"h_r must be 2-D, got shape {h_r.shape}")
         if h_v.ndim != 1 or h_d.ndim != 1:
@@ -173,9 +190,7 @@ class ChannelSet:
         for name, arr in (("h_r", h_r), ("h_v", h_v), ("h_d", h_d)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-        object.__setattr__(self, "h_r", h_r)
-        object.__setattr__(self, "h_v", h_v)
-        object.__setattr__(self, "h_d", h_d)
+            object.__setattr__(self, name, arr)
 
     @property
     def num_bs_antennas(self) -> int:

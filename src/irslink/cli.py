@@ -23,9 +23,8 @@ import sys
 import numpy as np
 
 from .channel import Scenario, rician_channel
-from .channel_io import ChannelFileError, atomic_write_text, load_channels
-from .config import (ConfigError, OptimizerSettings, parse_config,
-                     parse_optimizer_settings)
+from .channel_io import atomic_write_text, load_channels
+from .config import OptimizerSettings, parse_config, parse_optimizer_settings
 from .experiments import Scheme, SweepSpec, convergence_trace, run_sweep, solve
 from .link import rate
 # Unused here; bench/tracing.py wraps these names on this module.
@@ -47,6 +46,16 @@ def _load_scenario(args) -> tuple[Scenario, OptimizerSettings]:
     return scenario, settings
 
 
+def _write_or_print(text: str, out: str | None) -> int:
+    """Write text to out atomically and say so, or print it without out."""
+    if out:
+        atomic_write_text(out, text)
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
 def _cmd_optimize(args) -> int:
     scenario, settings = _load_scenario(args)
     scheme = Scheme.parse(args.scheme)
@@ -66,13 +75,7 @@ def _cmd_optimize(args) -> int:
         "converged %s" % ("true" if report.converged else "false"),
         "phases " + " ".join(str(int(k)) for k in report.final_phases.indices),
     ]
-    text = "\n".join(out_lines) + "\n"
-    if args.out:
-        atomic_write_text(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_or_print("\n".join(out_lines) + "\n", args.out)
 
 
 def _cmd_sweep(args) -> int:
@@ -99,13 +102,7 @@ def _cmd_convergence(args) -> int:
                               max_outer_iters=settings.max_outer_iters)
     lines = ["iteration rate_bps_hz"]
     lines += ["%d %.12g" % (k, r) for k, r in enumerate(trace)]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        atomic_write_text(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write_or_print("\n".join(lines) + "\n", args.out)
 
 
 def _cmd_import_channels(args) -> int:
@@ -119,37 +116,35 @@ def build_parser() -> argparse.ArgumentParser:
         prog="irslink",
         description="IRS-assisted uplink simulation and phase optimization")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True)
+    common.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
+                        help="override a config value")
 
-    p_opt = sub.add_parser("optimize", help="optimize phases for one draw")
-    p_opt.add_argument("--config", required=True)
+    p_opt = sub.add_parser("optimize", parents=[common],
+                           help="optimize phases for one draw")
     p_opt.add_argument("--channels", help="channel file to use instead of "
                                           "synthesizing")
     p_opt.add_argument("--scheme", default="full_csi",
                        help="full_csi, grouped_RxC or position_based")
     p_opt.add_argument("--seed", type=int, default=None,
                        help="channel draw seed (default from [optimizer])")
-    p_opt.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
-                       help="override a config value")
     p_opt.add_argument("--out", help="write the report here instead of stdout")
     p_opt.set_defaults(func=_cmd_optimize)
 
-    p_sweep = sub.add_parser("sweep", help="run a Monte Carlo sweep")
-    p_sweep.add_argument("--config", required=True)
+    p_sweep = sub.add_parser("sweep", parents=[common],
+                             help="run a Monte Carlo sweep")
     p_sweep.add_argument("--out", required=True, help="result table path")
     p_sweep.add_argument("--dump", help="also write a JSON dump with "
                                         "per-trial rates")
     p_sweep.add_argument("--traces", action="store_true",
                          help="include per-trial traces in the dump")
     p_sweep.add_argument("--workers", type=int, default=1)
-    p_sweep.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
-                         help="override a config value")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_conv = sub.add_parser("convergence", help="print one refinement trace")
-    p_conv.add_argument("--config", required=True)
+    p_conv = sub.add_parser("convergence", parents=[common],
+                            help="print one refinement trace")
     p_conv.add_argument("--seed", type=int, required=True)
-    p_conv.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
-                        help="override a config value")
     p_conv.add_argument("--out", help="write the trace here instead of stdout")
     p_conv.set_defaults(func=_cmd_convergence)
 
@@ -165,7 +160,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ChannelFileError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError and ChannelFileError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -3,39 +3,40 @@
 INI-style sections mirror the object model:
 
     [scenario]   fields of channel.Scenario (all optional, defaults apply)
-    [optimizer]  levels, epsilon, max_outer_iters, seed
+    [optimizer]  fields of OptimizerSettings: levels, epsilon,
+                 max_outer_iters, seed
     [sweep]      variable, values, schemes, trials, master_seed
 
 ``values`` accepts a comma list (``1, 2, 4``) or an inclusive range
-``start:stop:step`` of at most 100000 points. ``tx_power`` sweeps are
-quoted in dBm; ``quantization_bits`` values, like ``levels``, are capped
-at a 65536-point phase set; no two values may print alike in the CSV's
-``%.12g``. ``schemes`` is a comma list of distinct labels: no_irs,
-full_csi, grouped_RxC, position_based. Unknown keys or sections are
-rejected with the offending line number.
+``start:stop:step`` of at most 100000 points; ``tx_power`` values are
+in dBm. ``schemes`` is a comma list of labels: no_irs, full_csi,
+grouped_RxC, position_based. This module only parses text: the rules
+on the values are the library types' own (``Scenario``,
+``OptimizerSettings``, ``SweepSpec``), and their errors come back
+located at the key's line. Unknown keys or sections are rejected with
+the offending line number.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, fields
 
 from .channel import Scenario
-from .experiments import Scheme, SweepSpec, scenario_for_value
-from .optimizer import MAX_LEVELS
+from .experiments import Scheme, SweepSpec
+from .optimizer import (DEFAULT_EPSILON, DEFAULT_MAX_OUTER_ITERS,
+                        check_search_settings)
 
 
 class ConfigError(ValueError):
     """Invalid configuration; message names the key and line."""
 
 
-_SCENARIO_INT_KEYS = ("bs_rows", "bs_cols", "irs_rows", "irs_cols")
-_SCENARIO_FLOAT_KEYS = ("a_irs", "a_bs", "a_v", "b_bs", "c_bs", "b_v", "c_v",
-                        "f_c", "element_spacing", "beta_r", "beta_v", "beta_d",
-                        "tx_power", "noise_power", "bandwidth", "noise_figure_db")
-_OPTIMIZER_KEYS = ("levels", "epsilon", "max_outer_iters", "seed")
 _SWEEP_KEYS = ("variable", "values", "schemes", "trials", "master_seed")
+# SweepSpec fields whose errors point at a [sweep] key of their own.
+_SWEEP_FIELD_KEYS = {"sweep_values": "values", "schemes": "schemes"}
 # Most points a start:stop:step range may expand to; checked before the
 # values are built, so a typo in the step cannot exhaust memory.
 MAX_RANGE_POINTS = 100_000
@@ -44,19 +45,14 @@ MAX_RANGE_POINTS = 100_000
 @dataclass(frozen=True)
 class OptimizerSettings:
     levels: int = 4
-    epsilon: float = 1e-6
-    max_outer_iters: int = 100
+    epsilon: float = DEFAULT_EPSILON
+    max_outer_iters: int = DEFAULT_MAX_OUTER_ITERS
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.levels <= MAX_LEVELS:
-            raise ConfigError(f"levels must be in [1, {MAX_LEVELS}], "
-                              f"got {self.levels!r}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon!r}")
-        if self.max_outer_iters < 1:
-            raise ConfigError(
-                f"max_outer_iters must be >= 1, got {self.max_outer_iters!r}")
+        check_search_settings(self.levels, self.epsilon, self.max_outer_iters)
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
 
 
 def _key_lines(text: str) -> dict:
@@ -71,12 +67,7 @@ def _key_lines(text: str) -> dict:
             section = stripped[1:-1].strip().lower()
             lines.setdefault(section, {})["__section__"] = lineno
             continue
-        cut = len(stripped)
-        for sep in ("=", ":"):
-            pos = stripped.find(sep)
-            if pos != -1:
-                cut = min(cut, pos)
-        key = stripped[:cut].strip().lower()
+        key = re.split("[=:]", stripped, maxsplit=1)[0].strip().lower()
         if section is not None and key:
             lines[section].setdefault(key, lineno)
     return lines
@@ -102,7 +93,7 @@ def _parse_scalar(value: str, kind: str, section: str, key: str, lines: dict):
             f"{kind}, got {value!r}") from None
 
 
-def _check_keys(section: str, items: dict, allowed: tuple, lines: dict) -> None:
+def _check_keys(section: str, items: dict, allowed, lines: dict) -> None:
     for key in items:
         if key not in allowed:
             raise ConfigError(
@@ -128,56 +119,44 @@ def _read(text: str, overrides: tuple[str, ...] = ()):
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, value.strip())
-        lines.setdefault(section, {})[key] = "--set override"
-    known = ("scenario", "optimizer", "sweep")
-    for section in parser.sections():
-        if section.lower() not in known:
-            lineno = lines.get(section.lower(), {}).get("__section__")
-            at = f"line {lineno}" if isinstance(lineno, int) else "--set override"
+        located = lines.setdefault(section, {})
+        located.setdefault("__section__", "--set override")
+        located[key] = "--set override"
+    # Section names match as written: a [Scenario], or a [DEFAULT] with
+    # keys, would otherwise be read and then silently ignored.
+    named = parser.sections()
+    if parser.defaults():
+        named.append(parser.default_section)
+    for section in named:
+        if section not in ("scenario", "optimizer", "sweep"):
+            at = _loc(lines, section.strip().lower(), "__section__")
             raise ConfigError(f"unknown section [{section}] ({at})")
     return parser, lines
 
 
-def _build_scenario(parser, lines) -> Scenario:
-    kwargs = {}
-    if parser.has_section("scenario"):
-        items = dict(parser.items("scenario"))
-        _check_keys("scenario", items, _SCENARIO_INT_KEYS + _SCENARIO_FLOAT_KEYS,
-                    lines)
-        for key, value in items.items():
-            kind = "int" if key in _SCENARIO_INT_KEYS else "float"
-            kwargs[key] = _parse_scalar(value, kind, "scenario", key, lines)
+def _build(cls, section: str, parser, lines):
+    """Dataclass cls from [section]: its fields give the keys and their
+    int/float kinds, and an error that starts with a key is located."""
+    kinds = {f.name: "int" if f.type in ("int", int) else "float"
+             for f in fields(cls)}
+    items = dict(parser.items(section)) if parser.has_section(section) else {}
+    _check_keys(section, items, kinds, lines)
+    kwargs = {key: _parse_scalar(value, kinds[key], section, key, lines)
+              for key, value in items.items()}
     try:
-        return Scenario(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
         message = str(exc)
         key = message.split()[0]
         if key in kwargs:
-            raise ConfigError(
-                f"[scenario] {key} ({_loc(lines, 'scenario', key)}): "
-                f"{message}") from None
-        raise ConfigError(f"[scenario]: {message}") from None
+            raise ConfigError(f"[{section}] {key} ({_loc(lines, section, key)}): "
+                              f"{message}") from None
+        raise ConfigError(f"[{section}]: {message}") from None
 
 
 def parse_optimizer_settings(text: str,
                              overrides: tuple[str, ...] = ()) -> OptimizerSettings:
-    return _build_optimizer(*_read(text, overrides))
-
-
-def _build_optimizer(parser, lines) -> OptimizerSettings:
-    kwargs = {}
-    if parser.has_section("optimizer"):
-        items = dict(parser.items("optimizer"))
-        _check_keys("optimizer", items, _OPTIMIZER_KEYS, lines)
-        for key, value in items.items():
-            kind = "float" if key == "epsilon" else "int"
-            kwargs[key] = _parse_scalar(value, kind, "optimizer", key, lines)
-    try:
-        return OptimizerSettings(**kwargs)
-    except ConfigError as exc:
-        key = str(exc).split()[0]
-        raise ConfigError(f"[optimizer] {key} ({_loc(lines, 'optimizer', key)}): "
-                          f"{exc}") from None
+    return _build(OptimizerSettings, "optimizer", *_read(text, overrides))
 
 
 def _parse_values(value: str, lines: dict) -> tuple:
@@ -203,35 +182,22 @@ def _parse_values(value: str, lines: dict) -> tuple:
         if span >= MAX_RANGE_POINTS:
             raise ConfigError(f"[sweep] values ({loc}): range has more than "
                               f"{MAX_RANGE_POINTS} points, got {value!r}")
-        count = int(math.floor(span)) + 1
-        values = tuple(start + i * step for i in range(count))
-    else:
-        try:
-            values = tuple(float(tok) for tok in text.split(","))
-        except ValueError:
-            raise ConfigError(f"[sweep] values ({loc}): expected a comma list "
-                              f"of numbers, got {value!r}") from None
-    # Rows and dump keys print a value with %.12g: two values that print
-    # alike would give indistinguishable rows and one merged dump entry.
-    # Adding 0.0 folds -0 into 0, which the dump also keys as one value.
-    printed = {}
-    for v in values:
-        key = "%.12g" % (v + 0.0)
-        if key in printed:
-            raise ConfigError(f"[sweep] values ({loc}): {printed[key]!r} and "
-                              f"{v!r} both print as {key}")
-        printed[key] = v
-    return values
+        return tuple(start + i * step for i in range(int(math.floor(span)) + 1))
+    try:
+        return tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        raise ConfigError(f"[sweep] values ({loc}): expected a comma list "
+                          f"of numbers, got {value!r}") from None
 
 
 def _build_sweep(parser, lines, scenario: Scenario,
                  optimizer: OptimizerSettings) -> SweepSpec:
     items = dict(parser.items("sweep"))
     _check_keys("sweep", items, _SWEEP_KEYS, lines)
+    section_at = _loc(lines, "sweep", "__section__")
     for key in ("variable", "values", "schemes"):
         if key not in items:
-            lineno = lines.get("sweep", {}).get("__section__")
-            raise ConfigError(f"[sweep] (line {lineno}): missing required "
+            raise ConfigError(f"[sweep] ({section_at}): missing required "
                               f"key {key!r}")
     values = _parse_values(items["values"], lines)
     try:
@@ -239,56 +205,36 @@ def _build_sweep(parser, lines, scenario: Scenario,
     except ValueError as exc:
         raise ConfigError(f"[sweep] schemes ({_loc(lines, 'sweep', 'schemes')}): "
                           f"{exc}") from None
-    labels = [scheme.label for scheme in schemes]
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            raise ConfigError(f"[sweep] schemes ({_loc(lines, 'sweep', 'schemes')}): "
-                              f"scheme {label!r} is listed twice")
     trials = _parse_scalar(items.get("trials", "500"), "int", "sweep",
                            "trials", lines)
     master_seed = _parse_scalar(items.get("master_seed", "0"), "int", "sweep",
                                 "master_seed", lines)
     try:
-        spec = SweepSpec(base_scenario=scenario, swept_variable=items["variable"],
+        return SweepSpec(base_scenario=scenario, swept_variable=items["variable"],
                          sweep_values=values, schemes=schemes, trials=trials,
                          master_seed=master_seed, levels=optimizer.levels,
                          epsilon=optimizer.epsilon,
                          max_outer_iters=optimizer.max_outer_iters)
     except ValueError as exc:
-        lineno = lines.get("sweep", {}).get("__section__")
-        raise ConfigError(f"[sweep] (line {lineno}): {exc}") from None
-    for value in values:
-        try:
-            scenario_for_value(spec, value)
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"[sweep] values ({_loc(lines, 'sweep', 'values')}): "
-                              f"{spec.swept_variable} {value:g} is out of range: "
-                              f"{exc}") from None
-    return spec
+        field, _, message = str(exc).partition(": ")
+        key = _SWEEP_FIELD_KEYS.get(field)
+        if key is not None:
+            raise ConfigError(f"[sweep] {key} ({_loc(lines, 'sweep', key)}): "
+                              f"{message}") from None
+        raise ConfigError(f"[sweep] ({section_at}): {exc}") from None
 
 
 def parse_config(text: str, overrides: tuple[str, ...] = ()):
     """Parse a configuration into a Scenario or, with [sweep], a SweepSpec.
 
     ``overrides`` holds ``section.key=value`` pairs applied on top of
-    the text, as supplied by the command line. Grouped-scheme block
-    sizes and the scenario at every swept value are validated here so
-    bad configs fail before any computation.
+    the text, as supplied by the command line. A SweepSpec checks every
+    sweep cell when it is built, so bad configs fail before any
+    computation.
     """
     parser, lines = _read(text, overrides)
-    scenario = _build_scenario(parser, lines)
+    scenario = _build(Scenario, "scenario", parser, lines)
     if not parser.has_section("sweep"):
         return scenario
-    spec = _build_sweep(parser, lines, scenario, _build_optimizer(parser, lines))
-    for scheme in spec.schemes:
-        if scheme.name == "grouped":
-            if (scenario.irs_rows % scheme.group_rows != 0
-                    or scenario.irs_cols % scheme.group_cols != 0):
-                raise ConfigError(
-                    f"[sweep] schemes ({_loc(lines, 'sweep', 'schemes')}): "
-                    f"grouping {scheme.group_rows}x{scheme.group_cols} does "
-                    f"not divide the {scenario.irs_rows}x{scenario.irs_cols} "
-                    f"panel")
-    return spec
-
-
+    return _build_sweep(parser, lines, scenario,
+                        _build(OptimizerSettings, "optimizer", parser, lines))

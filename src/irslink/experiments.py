@@ -21,7 +21,8 @@ import numpy as np
 from .channel import ChannelSet, Scenario, rician_channel
 from .link import rate, rate_from_gain
 from .optimizer import (DEFAULT_EPSILON, DEFAULT_MAX_OUTER_ITERS, MAX_LEVELS,
-                        GroupingSpec, RefinementReport, optimize_grouped,
+                        GroupingSpec, RefinementReport, check_search_settings,
+                        grouping_layout, optimize_grouped,
                         optimize_position_based, successive_refinement)
 
 SWEEP_VARIABLES = ("vehicle_offset_c_v", "tx_power", "quantization_bits")
@@ -42,8 +43,7 @@ class Scheme:
         if self.name not in SCHEME_NAMES:
             raise ValueError(f"unknown scheme {self.name!r}")
         if self.name == "grouped":
-            if not (self.group_rows and self.group_cols):
-                raise ValueError("grouped scheme needs group_rows and group_cols")
+            GroupingSpec(self.group_rows, self.group_cols)  # checks the block size
         elif self.group_rows is not None or self.group_cols is not None:
             raise ValueError(f"scheme {self.name!r} takes no group dimensions")
 
@@ -70,7 +70,11 @@ class Scheme:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A Monte Carlo sweep of one variable over a set of schemes."""
+    """A Monte Carlo sweep of one variable over a set of schemes.
+
+    Construction checks every cell, so a bad sweep fails before any
+    trial; errors about one value or scheme start with the field name.
+    """
 
     base_scenario: Scenario
     swept_variable: str
@@ -83,6 +87,21 @@ class SweepSpec:
     max_outer_iters: int = DEFAULT_MAX_OUTER_ITERS
 
     def __post_init__(self) -> None:
+        # Rows and dump keys print a value with %.12g: two values that print
+        # alike would give indistinguishable rows and one merged dump entry.
+        # Adding 0.0 folds -0 into 0, which the dump also keys as one value.
+        printed = {}
+        for val in self.sweep_values:
+            key = "%.12g" % (val + 0.0)
+            if key in printed:
+                raise ValueError(f"sweep_values: {printed[key]!r} and {val!r} "
+                                 f"both print as {key}")
+            printed[key] = val
+        labels = set()
+        for scheme in self.schemes:
+            if scheme.label in labels:
+                raise ValueError(f"schemes: scheme {scheme.label!r} is listed twice")
+            labels.add(scheme.label)
         if self.swept_variable not in SWEEP_VARIABLES:
             raise ValueError(
                 f"swept_variable must be one of {SWEEP_VARIABLES}, "
@@ -95,12 +114,27 @@ class SweepSpec:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed!r}")
+        check_search_settings(self.levels, self.epsilon, self.max_outer_iters)
         if self.swept_variable == "quantization_bits":
             for val in self.sweep_values:
                 if not (math.isfinite(val) and val == int(val)
                         and 1 <= val <= MAX_QUANTIZATION_BITS):
                     raise ValueError(f"quantization_bits values must be integers "
                                      f"in [1, {MAX_QUANTIZATION_BITS}], got {val!r}")
+        for val in self.sweep_values:
+            try:
+                scenario_for_value(self, val)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"sweep_values: {self.swept_variable} {val:g} is "
+                                 f"out of range: {exc}") from None
+        shape = (self.base_scenario.irs_rows, self.base_scenario.irs_cols)
+        for scheme in self.schemes:
+            if scheme.name == "grouped":
+                try:
+                    grouping_layout(shape, GroupingSpec(scheme.group_rows,
+                                                        scheme.group_cols))
+                except ValueError as exc:
+                    raise ValueError(f"schemes: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,20 @@ DEFAULT_MAX_OUTER_ITERS = 100
 MAX_LEVELS = 2 ** 16
 
 
+def check_search_settings(levels: int, epsilon: float = DEFAULT_EPSILON,
+                          max_outer_iters: int = DEFAULT_MAX_OUTER_ITERS) -> None:
+    """Raise ValueError, naming the setting first, unless ``levels`` is an
+    integer in [1, MAX_LEVELS], ``epsilon`` > 0 and ``max_outer_iters`` >= 1."""
+    if not isinstance(levels, int):
+        raise ValueError(f"levels must be an integer, got {levels!r}")
+    if not 1 <= levels <= MAX_LEVELS:
+        raise ValueError(f"levels must be in [1, {MAX_LEVELS}], got {levels!r}")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if not (isinstance(max_outer_iters, int) and max_outer_iters >= 1):
+        raise ValueError(f"max_outer_iters must be >= 1, got {max_outer_iters!r}")
+
+
 @dataclass(frozen=True)
 class GroupingSpec:
     """Tie adjacent elements into group_rows x group_cols blocks."""
@@ -85,8 +99,7 @@ class RefinementReport:
 
 def phase_set(levels: int) -> np.ndarray:
     """The L equispaced phases {k * 2*pi/L : k = 0..L-1}."""
-    if not isinstance(levels, int) or levels < 1:
-        raise ValueError(f"levels must be a positive integer, got {levels!r}")
+    check_search_settings(levels)
     return np.arange(levels) * (2.0 * np.pi / levels)
 
 
@@ -96,8 +109,7 @@ def quantize_phase(target_angle: float, levels: int) -> int:
     Distance is circular (mod 2*pi); exact ties go to the smaller index.
     Works in units of the grid step so representable ties stay exact.
     """
-    if not isinstance(levels, int) or levels < 1:
-        raise ValueError(f"levels must be a positive integer, got {levels!r}")
+    check_search_settings(levels)
     if not math.isfinite(target_angle):
         raise ValueError(f"target angle must be finite, got {target_angle!r}")
     return _nearest_level(target_angle, levels)
@@ -139,10 +151,7 @@ def _refine(phi: np.ndarray, h_d: np.ndarray, levels: int, tx_power: float,
     where configs lists the index vector after init and after each sweep
     when record_configs is set (otherwise None).
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    if max_outer_iters < 1:
-        raise ValueError(f"max_outer_iters must be >= 1, got {max_outer_iters!r}")
+    check_search_settings(levels, epsilon, max_outer_iters)
 
     # Per-element state lives in Python lists: with O(M) work per visit
     # the interpreter, not numpy, sets the cost, and list indexing and
@@ -197,8 +206,6 @@ def successive_refinement(channels: ChannelSet, levels: int, tx_power: float,
                           ) -> RefinementReport:
     """Cyclic coordinate ascent over all element phases until the rate
     settles to within epsilon between sweeps."""
-    if not isinstance(levels, int) or levels < 1:
-        raise ValueError(f"levels must be a positive integer, got {levels!r}")
     n = channels.num_irs_elements
     if init_phases is None:
         init = np.zeros(n, dtype=np.int64)
@@ -224,8 +231,7 @@ def brute_force(channels: ChannelSet, levels: int, tx_power: float,
     Guards against combinatorial blowup with an enumeration budget; ties
     resolve to the lexicographically first index vector.
     """
-    if not isinstance(levels, int) or levels < 1:
-        raise ValueError(f"levels must be a positive integer, got {levels!r}")
+    check_search_settings(levels)
     n = channels.num_irs_elements
     count = levels ** n
     if count > budget:

@@ -16,6 +16,8 @@ from irslink import (
     path_loss_umi_los,
     rician_channel,
     steering_vector,
+    successive_refinement,
+    trial_seed,
 )
 from irslink.channel import BS_ORIENTATION, IRS_ORIENTATION
 
@@ -197,6 +199,36 @@ def test_scenario_validation():
         Scenario(c_v=float("inf"))
 
 
+def test_scenario_link_budget_must_be_finite():
+    # each message starts with the key, which the config front end locates
+    for key in ("tx_power", "noise_power", "bandwidth", "noise_figure_db"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^{key} must be "):
+                Scenario(**{key: bad})
+    # the existing positive-value messages are kept for nan and non-positive
+    with pytest.raises(ValueError, match="^tx_power must be positive, got nan"):
+        Scenario(tx_power=math.nan)
+    with pytest.raises(ValueError, match="^tx_power must be finite, got inf"):
+        Scenario(tx_power=math.inf)
+    # k*T*B*F overflows (10 ** 400) or rounds to zero: no silent inf or 0 noise
+    with pytest.raises(ValueError, match="^noise_figure_db gives a noise power"):
+        Scenario(noise_figure_db=4000.0)
+    with pytest.raises(ValueError, match="^noise_figure_db gives a noise power "
+                                         "k\\*T\\*B\\*F of inf W"):
+        Scenario(bandwidth=1e300, noise_figure_db=3000.0)
+    with pytest.raises(ValueError, match="^bandwidth gives a noise power "
+                                         "k\\*T\\*B\\*F of 0.0 W"):
+        Scenario(bandwidth=1e-310)
+    # the carrier sets the path-loss gain, 10 ** 634 W/W at 1 m for 1e-310 Hz
+    with pytest.raises(ValueError, match="^f_c must be finite, got inf"):
+        Scenario(f_c=math.inf)
+    with pytest.raises(ValueError, match="^f_c 1e-310 Hz gives a path-loss gain"):
+        Scenario(f_c=1e-310)
+    # an explicit noise power replaces k*T*B*F, so a huge noise figure is unused
+    assert Scenario(noise_power=1e-12, noise_figure_db=4000.0).n0 == 1e-12
+    assert Scenario(noise_figure_db=3000.0).n0 < math.inf
+
+
 def test_channelset_validation():
     ok = ChannelSet(h_r=np.ones((2, 3)), h_v=np.ones(3), h_d=np.ones(2))
     assert ok.num_bs_antennas == 2
@@ -212,6 +244,31 @@ def test_channelset_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         ChannelSet(h_r=bad, h_v=np.ones(3), h_d=np.ones(2))
+
+
+def test_channelset_stores_c_ordered_arrays():
+    # the search's sums depend on the layout of Phi in the last bit, so a
+    # Fortran-ordered or transposed h_r must give the C-ordered input's bits
+    scn = Scenario()
+    for t in range(25):
+        ch = rician_channel(scn, np.random.default_rng(trial_seed(2024, t)))
+        assert all(a.flags.c_contiguous for a in (ch.h_r, ch.h_v, ch.h_d))
+        fortran = np.asfortranarray(ch.h_r)
+        transposed = np.ascontiguousarray(ch.h_r.T).T
+        assert not fortran.flags.c_contiguous
+        assert not transposed.flags.c_contiguous
+        plain = successive_refinement(ch, 4, scn.tx_power, scn.n0)
+        for h_r in (fortran, transposed):
+            other = ChannelSet(h_r=h_r, h_v=ch.h_v, h_d=ch.h_d)
+            assert other.h_r.flags.c_contiguous
+            assert other.h_r.tobytes() == ch.h_r.tobytes()
+            report = successive_refinement(other, 4, scn.tx_power, scn.n0)
+            assert np.array_equal(report.final_phases.indices,
+                                  plain.final_phases.indices)
+            assert report.rate_trace == plain.rate_trace
+    # a 0-d h_v is still refused, not silently made 1-D
+    with pytest.raises(ValueError, match="must be 1-D"):
+        ChannelSet(h_r=np.ones((1, 1)), h_v=np.complex128(1), h_d=np.ones(1))
 
 
 def test_los_matrix_rank_one():

@@ -1,11 +1,18 @@
 """Config parsing diagnostics and the command-line front end."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
+import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irslink import (
     ConfigError,
@@ -21,7 +28,7 @@ from irslink import (
     successive_refinement,
 )
 from irslink.cli import main
-from irslink.config import parse_optimizer_settings
+from irslink.config import OptimizerSettings, parse_optimizer_settings
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -207,6 +214,16 @@ schemes = grouped_3x3
         parse_config(text)
 
 
+def test_section_names_match_as_written():
+    # a section that would be read and then ignored is refused instead
+    for text, where in (("[Scenario]\nirs_rows = 4\n", "[Scenario] (line 1)"),
+                        ("\n[OPTIMIZER]\nlevels = 0\n", "[OPTIMIZER] (line 2)"),
+                        ("[DEFAULT]\nirs_rows = 4\n", "[DEFAULT] (line 1)"),
+                        ("[ scenario ]\nirs_rows = 4\n", "[ scenario ] (line 1)")):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown section {where}")):
+            parse_config(text)
+
+
 def test_overrides_applied_and_reported():
     scn = parse_config(TINY_SCENARIO, overrides=("scenario.c_v=5.5",))
     assert scn.c_v == 5.5
@@ -215,6 +232,10 @@ def test_overrides_applied_and_reported():
     # an override that fails validation points back at the override
     with pytest.raises(ConfigError, match="--set override"):
         parse_config(TINY_SCENARIO, overrides=("scenario.f_c=-3",))
+    # a [sweep] made by overrides alone is located at them, not at "line None"
+    with pytest.raises(ConfigError, match=re.escape(
+            "[sweep] (--set override): missing required key 'variable'")):
+        parse_config(TINY_SCENARIO, overrides=("sweep.trials=1",))
 
 
 def test_shipped_configs_parse():
@@ -427,7 +448,145 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
                  "--set", "optimizer.levels=1099511627776"]) == 2
     assert "[optimizer] levels (--set override)" in capsys.readouterr().err
 
+    # a link budget that is not finite, or whose noise power k*T*B*F is not,
+    # is located at its key instead of printing inf/0 rates or a traceback
+    for key, value in (("tx_power", "inf"), ("noise_power", "inf"),
+                       ("bandwidth", "inf"), ("noise_figure_db", "inf"),
+                       ("noise_figure_db", "nan"), ("noise_figure_db", "4000"),
+                       ("bandwidth", "1e-310"), ("f_c", "inf"), ("f_c", "1e-310")):
+        cfg.write_text(TINY_SCENARIO.replace("bs_cols = 1\n",
+                                             f"bs_cols = 1\n{key} = {value}\n"))
+        assert main(["optimize", "--config", str(cfg)]) == 2
+        assert f"[scenario] {key} (line 6): {key} " in capsys.readouterr().err
+        cfg.write_text(TINY_SCENARIO)
+        assert main(["optimize", "--config", str(cfg),
+                     "--set", f"scenario.{key}={value}"]) == 2
+        assert (f"[scenario] {key} (--set override): {key} "
+                in capsys.readouterr().err)
+
 
 def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["optimize", "--config", str(tmp_path / "ghost.cfg")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ config fuzz
+
+# Tokens every key is tried with, one draw in sixteen; the other draws take
+# a value that is valid for most keys, so that some configs do run. Panels,
+# trials and swept values are kept small so a run takes milliseconds.
+ODD = ("inf", "-inf", "nan", "-0", "1e308", "-1e308", "4000", "0", "-1",
+       "-2.5", "abc", "", "1e", "0x10")
+PANEL_KEYS = ("bs_rows", "bs_cols", "irs_rows", "irs_cols")
+SCENARIO_KEYS = tuple(f.name for f in fields(Scenario))
+OPTIMIZER_KEYS = tuple(f.name for f in fields(OptimizerSettings))
+SWEEP_KEYS = ("variable", "values", "schemes", "trials", "master_seed")
+
+
+def _rarely():
+    """True on about one draw in sixteen (7 is not a bound hypothesis favours)."""
+    return st.integers(0, 15).map(lambda i: i == 7)
+
+
+def _pick(good, odd=ODD):
+    return _rarely().flatmap(lambda rare: st.sampled_from(odd if rare else good))
+
+
+def _value(section, key):
+    if key in PANEL_KEYS:
+        # no 4000 here: the panel stays at most 4x4
+        return _pick(("1", "2", "4"), tuple(t for t in ODD if t != "4000") + ("3",))
+    if section == "scenario":
+        return _pick(("0.5", "1.5", "20"), ODD + ("1e-310", "1e300"))
+    if key == "levels":
+        return _pick(("1", "2", "4"), ODD + ("65536", "65537"))
+    if key == "epsilon":
+        return _pick(("1e-6", "0.5"))
+    if key in ("max_outer_iters", "trials"):
+        return _pick(("1", "2"), tuple(t for t in ODD if t != "4000"))
+    if key in ("seed", "master_seed"):
+        return _pick(("0", "3"))
+    if key == "variable":
+        return _pick(("tx_power", "vehicle_offset_c_v", "quantization_bits"),
+                     ("bandwidth", ""))
+    if key == "values":
+        listed = st.lists(_pick(("0", "1", "2"), ODD + ("2.5", "17", "-5000")),
+                          min_size=1, max_size=3).map(", ".join)
+        ranges = _pick(("0:2:1", "1:2:1", "-1:1:2"),
+                       ("1:0:1", "0:30", "0:inf:1", "0:1e9:1", "2:2:0", "a:b:c"))
+        return st.one_of(listed, ranges)
+    if key == "schemes":
+        label = _pick(("no_irs", "full_csi", "position_based", "grouped_2x2",
+                       "grouped_1x4"),
+                      ("grouped_3x3", "grouped_0x2", "grouped", "mystery", ""))
+        return st.lists(label, min_size=1, max_size=3).map(", ".join)
+    return _pick(("1",))
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A config text, --set overrides and an optimize scheme.
+
+    [scenario] always sets the four panel keys and [sweep] always sets
+    trials, so every run stays within a 4x4 panel and two trials.
+    """
+    sections = {"scenario": {k: draw(_value("scenario", k)) for k in PANEL_KEYS}}
+    for key in draw(st.lists(st.sampled_from(SCENARIO_KEYS), max_size=4)):
+        sections["scenario"][key] = draw(_value("scenario", key))
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(OPTIMIZER_KEYS), max_size=3))
+        sections["optimizer"] = {k: draw(_value("optimizer", k)) for k in keys}
+    if draw(st.booleans()):
+        keys = [k for k in SWEEP_KEYS if k == "trials" or not draw(_rarely())]
+        sections["sweep"] = {k: draw(_value("sweep", k)) for k in keys}
+    if draw(_rarely()):
+        section = draw(st.sampled_from(sorted(sections)))
+        sections[section][draw(st.sampled_from(("antenna_gain", "step_size")))] = "1"
+    if draw(_rarely()):
+        name = draw(st.sampled_from(("plotting", "Scenario", "SWEEP", "DEFAULT")))
+        sections[name] = {draw(st.sampled_from(("style", "levels", "trials"))): "1"}
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+                   + "\n" for name, items in sections.items())
+
+    overrides = []
+    for _ in range(draw(st.integers(0, 2))):
+        section, keys = draw(_pick((("scenario", SCENARIO_KEYS),
+                                    ("optimizer", OPTIMIZER_KEYS),
+                                    ("sweep", SWEEP_KEYS)),
+                                   (("plotting", ("style",)),)))
+        key = draw(st.sampled_from(keys))
+        overrides.append(f"{section}.{key}={draw(_value(section, key))}")
+    if draw(_rarely()):
+        overrides.append(draw(st.sampled_from(("c_v=5", "scenario.=1", ".x=1"))))
+    scheme = draw(st.sampled_from(("full_csi", "grouped_2x2", "position_based",
+                                   "grouped_3x3", "no_irs")))
+    return text, overrides, scheme
+
+
+def _scenario_case(line):
+    return ("[scenario]\nirs_rows = 2\nirs_cols = 2\n" + line + "\n", [], "full_csi")
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=fuzz_configs())
+# single values that once escaped as OverflowError or ZeroDivisionError
+@example(case=_scenario_case("noise_figure_db = 4000"))
+@example(case=_scenario_case("bandwidth = 1e-310"))
+@example(case=_scenario_case("f_c = 1e-310"))
+def test_cli_config_fuzz_exits_0_or_2(case):
+    # any config text and overrides either run or exit 2 with a message,
+    # never with a traceback
+    text, overrides, scheme = case
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "fuzz.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for argv in (["optimize", "--config", cfg, "--scheme", scheme] + sets,
+                     ["sweep", "--config", cfg, "--out",
+                      os.path.join(tmp, "t.csv")] + sets):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2), (argv, text, err.getvalue())
+            assert code == 0 or err.getvalue().startswith("error: "), (argv, text)

@@ -82,6 +82,38 @@ def test_sweep_spec_validation():
                    sweep_values=(16.0,)).sweep_values == (16.0,)
 
 
+def test_sweep_spec_checks_every_cell():
+    # rules the config front end used to check alone; each at construction
+    ok = SweepSpec(base_scenario=SMALL, swept_variable="tx_power",
+                   sweep_values=(0.0, 10.0), schemes=(Scheme("full_csi"),),
+                   trials=1, master_seed=0)
+    for changes, match in (
+            ({"levels": 0}, r"^levels must be in \[1, 65536\], got 0"),
+            ({"levels": 2.5}, r"^levels must be an integer"),
+            ({"epsilon": 0.0}, r"^epsilon must be positive"),
+            ({"max_outer_iters": 0}, r"^max_outer_iters must be >= 1"),
+            ({"sweep_values": (0.0, 0.0)}, r"^sweep_values: 0.0 and 0.0 both print as 0$"),
+            ({"sweep_values": (0.0, -0.0)}, r"^sweep_values: 0.0 and -0.0 both print"),
+            ({"schemes": (Scheme("full_csi"), Scheme("full_csi"))},
+             r"^schemes: scheme 'full_csi' is listed twice$"),
+            ({"schemes": (Scheme("full_csi"), Scheme("full_csi")),
+              "sweep_values": (0.0, 0.0)}, r"^sweep_values: "),
+            ({"schemes": (Scheme("grouped", 3, 3),)},
+             r"^schemes: grouping 3x3 does not divide the 4x4 panel$"),
+            ({"sweep_values": (0.0, 4000.0)},
+             r"^sweep_values: tx_power 4000 is out of range: "),
+            ({"sweep_values": (-5000.0,)},
+             r"^sweep_values: tx_power -5000 is out of range: tx_power must be positive"),
+            ({"swept_variable": "vehicle_offset_c_v", "sweep_values": (math.inf,)},
+             r"^sweep_values: vehicle_offset_c_v inf is out of range: c_v must be finite"),
+            ({"sweep_values": (math.inf,)},
+             r"^sweep_values: tx_power inf is out of range: tx_power must be finite")):
+        with pytest.raises(ValueError, match=match):
+            replace(ok, **changes)
+    replace(ok, schemes=(Scheme("grouped", 2, 2), Scheme("grouped", 4, 4),
+                         Scheme("grouped", 1, 4)))
+
+
 def test_scenario_for_value_vehicle_offset():
     spec = SweepSpec(base_scenario=SMALL, swept_variable="vehicle_offset_c_v",
                      sweep_values=(-3.0, 5.0), schemes=(Scheme("full_csi"),),

@@ -207,6 +207,32 @@ def test_refinement_validates_args():
         successive_refinement(ch, 4, 1.0, 1.0, max_outer_iters=0)
 
 
+def test_search_settings_rule_on_every_entry_point():
+    # one rule for all three searches: levels an integer in [1, 65536],
+    # epsilon > 0, max_outer_iters an integer >= 1, always as ValueError
+    scn = Scenario(irs_rows=4, irs_cols=4, bs_rows=2, bs_cols=1)
+    ch = rician_channel(scn, np.random.default_rng(2))
+    searches = (
+        lambda **kw: successive_refinement(ch, tx_power=1.0, noise_power=1.0, **kw),
+        lambda **kw: optimize_grouped(ch, (4, 4), GroupingSpec(2, 2), tx_power=1.0,
+                                      noise_power=1.0, **kw),
+        lambda **kw: optimize_position_based(scn, ch, tx_power=1.0,
+                                             noise_power=1.0, **kw),
+    )
+    for search in searches:
+        for levels, match in ((0, r"levels must be in \[1, 65536\], got 0"),
+                              (65537, r"levels must be in \[1, 65536\], got 65537"),
+                              (2.5, "levels must be an integer, got 2.5")):
+            with pytest.raises(ValueError, match=match):
+                search(levels=levels)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            search(levels=4, epsilon=0.0)
+        for iters in (0, 2.5):
+            with pytest.raises(ValueError, match="max_outer_iters must be >= 1"):
+                search(levels=4, max_outer_iters=iters)
+        assert search(levels=65536, max_outer_iters=1).iterations == 1
+
+
 def test_oracle_sandwich_on_random_batch():
     # unstructured instances stress the sandwich invariant itself; with
     # direct and cascade links of equal strength, coordinate ascent can
