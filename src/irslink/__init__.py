@@ -5,9 +5,9 @@ from .channel import (AnglePair, ChannelSet, Scenario, angles_between,
                       rician_channel, steering_vector)
 from .channel_io import ChannelFileError, load_channels, save_channels
 from .config import ConfigError, OptimizerSettings, parse_config
-from .experiments import (ExperimentResult, ResultRow, Scheme, SweepSpec,
-                          convergence_trace, run_sweep, run_trial, solve,
-                          trial_seed)
+from .experiments import (ExperimentResult, ResultRow, Scheme, SearchStats,
+                          SweepSpec, convergence_trace, run_sweep, run_trial,
+                          solve, solve_block, trial_seed)
 from .link import (PhaseConfig, QuadraticForm, build_quadratic_form,
                    effective_channel, element_local_terms, quadratic_gain,
                    rate, reflection_vector, snr)
@@ -23,8 +23,8 @@ __all__ = [
     "los_channel_matrix", "path_loss_umi_los", "rician_channel",
     "steering_vector", "ChannelFileError", "load_channels", "save_channels",
     "ConfigError", "OptimizerSettings", "parse_config", "ExperimentResult",
-    "ResultRow", "Scheme", "SweepSpec", "convergence_trace", "run_sweep",
-    "run_trial", "solve", "trial_seed", "PhaseConfig", "QuadraticForm",
+    "ResultRow", "Scheme", "SearchStats", "SweepSpec", "convergence_trace",
+    "run_sweep", "run_trial", "solve", "solve_block", "trial_seed", "PhaseConfig", "QuadraticForm",
     "build_quadratic_form", "effective_channel", "element_local_terms",
     "quadratic_gain", "rate", "reflection_vector", "snr", "GroupingSpec",
     "RefinementReport", "brute_force", "grouping_layout", "optimize_grouped",

@@ -115,6 +115,28 @@ class Scenario:
             key = "bandwidth" if n0 == 0 else "noise_figure_db"
             raise ValueError(f"{key} gives a noise power k*T*B*F of {n0!r} W, "
                              f"which must be finite and positive")
+        self._check_geometry()
+
+    def _check_geometry(self) -> None:
+        """Raise ValueError, naming the key first, unless every link
+        distance, propagation phase and steering phase is finite."""
+        two_pi_over_lambda = 2.0 * math.pi / self.wavelength
+        with np.errstate(over="ignore", invalid="ignore"):
+            for link, (dist, keys) in zip(("IRS-BS", "vehicle-IRS", "vehicle-BS"),
+                                          _link_distances(self)):
+                if not math.isfinite(dist):
+                    key = max(keys, key=lambda k: abs(getattr(self, k)))
+                    raise ValueError(f"{key} {getattr(self, key)!r} m puts the "
+                                     f"{link} distance beyond the float range")
+                if not math.isfinite(2.0 * math.pi * dist / self.wavelength):
+                    raise ValueError(f"f_c {self.f_c!r} Hz gives the {link} link "
+                                     f"a propagation phase beyond the float range")
+        # steering phases reach (2 pi / lambda) * spacing * (rows + cols - 2)
+        span = max(self.bs_rows + self.bs_cols, self.irs_rows + self.irs_cols)
+        if not math.isfinite(two_pi_over_lambda * self.spacing * span):
+            key = "f_c" if self.element_spacing is None else "element_spacing"
+            raise ValueError(f"{key} {getattr(self, key)!r} gives steering "
+                             f"phases beyond the float range")
 
     @property
     def bs_antennas(self) -> int:
@@ -270,6 +292,16 @@ def path_loss_umi_los(distance_m: float, f_c_hz: float) -> float:
     return 10.0 ** (-pl_db / 10.0)
 
 
+def _link_distances(scenario: Scenario):
+    """((distance, position keys it depends on) for the IRS-BS,
+    vehicle-IRS and vehicle-BS links."""
+    bs, irs, veh = device_positions(scenario)
+    bs_keys, irs_keys, veh_keys = ("b_bs", "c_bs", "a_bs"), ("a_irs",), ("b_v", "c_v", "a_v")
+    return ((float(np.linalg.norm(bs - irs)), bs_keys + irs_keys),
+            (float(np.linalg.norm(irs - veh)), irs_keys + veh_keys),
+            (float(np.linalg.norm(bs - veh)), bs_keys + veh_keys))
+
+
 def _los_parts(scenario: Scenario):
     """Unit-modulus LOS structure and path loss per link.
 
@@ -280,8 +312,8 @@ def _los_parts(scenario: Scenario):
     bs, irs, veh = device_positions(scenario)
     lam = scenario.wavelength
     sp = scenario.spacing
+    (d_r, _), (d_v, _), (d_d, _) = _link_distances(scenario)
 
-    d_r = float(np.linalg.norm(bs - irs))
     a_bs_irs = steering_vector(scenario.bs_rows, scenario.bs_cols, sp, lam,
                                angles_between(bs, irs, BS_ORIENTATION))
     a_irs_bs = steering_vector(scenario.irs_rows, scenario.irs_cols, sp, lam,
@@ -289,13 +321,11 @@ def _los_parts(scenario: Scenario):
     unit_hr = np.exp(-2j * np.pi * d_r / lam) * np.outer(a_bs_irs, a_irs_bs.conj())
     loss_r = path_loss_umi_los(d_r, scenario.f_c)
 
-    d_v = float(np.linalg.norm(irs - veh))
     a_irs_veh = steering_vector(scenario.irs_rows, scenario.irs_cols, sp, lam,
                                 angles_between(irs, veh, IRS_ORIENTATION))
     unit_hv = np.exp(-2j * np.pi * d_v / lam) * a_irs_veh
     loss_v = path_loss_umi_los(d_v, scenario.f_c)
 
-    d_d = float(np.linalg.norm(bs - veh))
     a_bs_veh = steering_vector(scenario.bs_rows, scenario.bs_cols, sp, lam,
                                angles_between(bs, veh, BS_ORIENTATION))
     unit_hd = np.exp(-2j * np.pi * d_d / lam) * a_bs_veh

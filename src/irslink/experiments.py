@@ -7,26 +7,45 @@ comparison), and sweep points share draws (common random numbers), which
 keeps curve shapes smooth at a given trial budget. Results reduce in a
 fixed (scheme, value, trial) order, so output bytes do not depend on the
 worker count.
+
+A sweep runs in blocks of (value, trial) draws that the spec alone
+fixes. Each draw is made once and shared by every scheme, and a block
+hands each scheme's searches of one phase-set size to one batched
+search (``optimizer.refine_batch``), which gives the phases, rates and
+traces of the per-draw search.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelSet, Scenario, rician_channel
+from .channel import ChannelSet, Scenario, los_channel_matrix, rician_channel
 from .link import rate, rate_from_gain
 from .optimizer import (DEFAULT_EPSILON, DEFAULT_MAX_OUTER_ITERS, MAX_LEVELS,
                         GroupingSpec, RefinementReport, check_search_settings,
-                        grouping_layout, optimize_grouped,
-                        optimize_position_based, successive_refinement)
+                        grouped_cascade, grouping_layout, optimize_grouped,
+                        optimize_position_based, refine_batch, search_report,
+                        successive_refinement)
 
 SWEEP_VARIABLES = ("vehicle_offset_c_v", "tx_power", "quantization_bits")
 MAX_QUANTIZATION_BITS = MAX_LEVELS.bit_length() - 1
+
+# A sweep block holds as many draws as fit this many bytes of stacked
+# cascades Phi (16 M N bytes a draw): 12 draws of a 16x16 surface and an
+# 8-antenna BS. A block's working set, the draws plus the search's copy
+# of their Phi and its per-element state, is about 2.5 times that and is
+# freed with the block. Larger blocks search faster per draw but hold
+# more memory while they run.
+BLOCK_BYTES = 384 << 10
+# Fewest searches for which the batched search beats per-draw searches
+# (16x16 surface, 8 antennas, L = 4, on a 2-core x86-64 box); smaller
+# groups run per draw.
+BATCH_MIN_SEARCHES = 8
 
 SCHEME_NAMES = ("no_irs", "full_csi", "grouped", "position_based")
 
@@ -147,11 +166,27 @@ class ResultRow:
     seed: int
 
 
+class SearchStats(NamedTuple):
+    """How one phase search ended (see RefinementReport)."""
+
+    iterations: int
+    converged: bool
+    accepted_moves: int
+
+
 @dataclass(frozen=True)
 class ExperimentResult:
+    """Rows of a sweep; per-trial rates and traces when asked for.
+
+    ``search_stats`` maps (scheme label, value, trial) to the SearchStats
+    of every search the sweep ran (no_irs runs none); it is not written
+    to the table or the JSON dump.
+    """
+
     rows: tuple[ResultRow, ...]
     trial_rates: dict = field(default_factory=dict)
     traces: dict = field(default_factory=dict)
+    search_stats: dict = field(default_factory=dict)
 
     def to_table(self) -> str:
         lines = ["scheme,value,mean_rate_bps_hz,std_error,trials,seed"]
@@ -222,6 +257,55 @@ def solve(scenario: Scenario, channels: ChannelSet, scheme: Scheme, levels: int,
     raise ValueError(f"scheme {scheme.name} has nothing to optimize")
 
 
+def solve_block(scenarios, draws, scheme: Scheme, levels: int, epsilon: float,
+                *, max_outer_iters: int = DEFAULT_MAX_OUTER_ITERS,
+                ) -> list[RefinementReport]:
+    """``solve`` for many draws at once: the same reports, in order.
+
+    From BATCH_MIN_SEARCHES draws on, all searches run as one batched
+    search: full_csi on each Phi, grouped on each group-summed Phi and
+    position_based on the LOS estimate of each distinct scenario. Fewer
+    draws are solved one by one.
+    """
+    if len(draws) < BATCH_MIN_SEARCHES:
+        return [solve(scenario, channels, scheme, levels, epsilon,
+                      max_outer_iters=max_outer_iters)
+                for scenario, channels in zip(scenarios, draws)]
+    group_of = None
+    problem_of = range(len(draws))
+    if scheme.name == "full_csi":
+        problems = draws
+        phis = (channels.cascade for channels in draws)
+    elif scheme.name == "grouped":
+        first = scenarios[0]
+        group_of = grouping_layout((first.irs_rows, first.irs_cols),
+                                   GroupingSpec(scheme.group_rows, scheme.group_cols))
+        problems = draws
+        phis = (grouped_cascade(channels.cascade, group_of) for channels in draws)
+    elif scheme.name == "position_based":
+        index = {}
+        problem_of = [index.setdefault(scenario, len(index)) for scenario in scenarios]
+        problems = [los_channel_matrix(scenario) for scenario in index]
+        phis = (estimate.cascade for estimate in problems)
+    else:
+        raise ValueError(f"scheme {scheme.name} has nothing to optimize")
+    on_truth = scheme.name == "position_based"
+    found = refine_batch(phis, [problem.h_d for problem in problems], problem_of,
+                         levels, [s.tx_power for s in scenarios],
+                         [s.n0 for s in scenarios], epsilon, max_outer_iters,
+                         record_configs=on_truth)
+    return [search_report(one, levels, group_of=group_of,
+                          truth=(channels, scenario.tx_power, scenario.n0)
+                          if on_truth else None)
+            for scenario, channels, one in zip(scenarios, draws, found)]
+
+
+def _direct_rate(scenario: Scenario, channels: ChannelSet) -> float:
+    """The no_irs rate: the direct channel alone."""
+    gain = float(np.vdot(channels.h_d, channels.h_d).real)
+    return rate_from_gain(gain, scenario.tx_power, scenario.n0)
+
+
 def run_trial(scenario: Scenario, scheme: Scheme, levels: int, epsilon: float,
               seed: int, *, max_outer_iters: int = DEFAULT_MAX_OUTER_ITERS,
               keep_trace: bool = False):
@@ -234,8 +318,7 @@ def run_trial(scenario: Scenario, scheme: Scheme, levels: int, epsilon: float,
     rng = np.random.default_rng(seed)
     channels = rician_channel(scenario, rng)
     if scheme.name == "no_irs":
-        gain = float(np.vdot(channels.h_d, channels.h_d).real)
-        achieved = rate_from_gain(gain, scenario.tx_power, scenario.n0)
+        achieved = _direct_rate(scenario, channels)
         trace = (achieved,)
     else:
         report = solve(scenario, channels, scheme, levels, epsilon,
@@ -246,64 +329,102 @@ def run_trial(scenario: Scenario, scheme: Scheme, levels: int, epsilon: float,
     return (achieved, trace) if keep_trace else achieved
 
 
+def sweep_blocks(spec: SweepSpec) -> list[list[tuple[float, int]]]:
+    """The sweep's (value, trial) draws, value-major, cut into the fewest
+    blocks of at most BLOCK_BYTES worth of cascades, of near-equal size
+    so that no block is left with a few draws to search one by one."""
+    base = spec.base_scenario
+    size = max(1, BLOCK_BYTES // (16 * base.bs_antennas * base.irs_elements))
+    draws = [(value, t) for value in spec.sweep_values for t in range(spec.trials)]
+    count = -(-len(draws) // size)
+    return [draws[i * len(draws) // count:(i + 1) * len(draws) // count]
+            for i in range(count)]
+
+
+def _run_block(spec: SweepSpec, block, seeds) -> dict:
+    """{(scheme label, value, trial): (rate, trace, SearchStats or None)}
+    for every scheme on one block of draws, each drawn once."""
+    cell_scenario = {value: scenario_for_value(spec, value)
+                     for value in dict.fromkeys(value for value, _ in block)}
+    scenarios = [cell_scenario[value] for value, _ in block]
+    draws = [rician_channel(scenario, np.random.default_rng(seeds[t]))
+             for scenario, (_, t) in zip(scenarios, block)]
+    levels_of = [levels_for_value(spec, value) for value, _ in block]
+    out = {}
+    for scheme in spec.schemes:
+        if scheme.name == "no_irs":
+            for scenario, channels, (value, t) in zip(scenarios, draws, block):
+                achieved = _direct_rate(scenario, channels)
+                out[(scheme.label, value, t)] = (achieved, (achieved,), None)
+            continue
+        for levels in dict.fromkeys(levels_of):
+            members = [i for i, lv in enumerate(levels_of) if lv == levels]
+            reports = solve_block([scenarios[i] for i in members],
+                                  [draws[i] for i in members], scheme, levels,
+                                  spec.epsilon, max_outer_iters=spec.max_outer_iters)
+            for i, report in zip(members, reports):
+                scenario, (value, t) = scenarios[i], block[i]
+                achieved = rate(draws[i], report.final_phases, scenario.tx_power,
+                                scenario.n0)
+                out[(scheme.label, value, t)] = (
+                    achieved, report.rate_trace,
+                    SearchStats(report.iterations, report.converged,
+                                report.accepted_moves))
+    return out
+
+
 def run_sweep(spec: SweepSpec, *, workers: int = 1, keep_trials: bool = False,
               keep_traces: bool = False) -> ExperimentResult:
     """Run trials for every (scheme, value) cell of the sweep.
 
-    Trials are independent and may run on a thread pool; rates are
-    written into per-cell arrays by trial index, so the assembled result
-    is byte-identical for any worker count.
+    Blocks of draws (``sweep_blocks``) are independent and may run on a
+    thread pool; rates are written into per-cell arrays by trial index,
+    so the assembled result is byte-identical for any worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
     seeds = [trial_seed(spec.master_seed, t) for t in range(spec.trials)]
-    cells = [(scheme, value) for scheme in spec.schemes
-             for value in spec.sweep_values]
-
-    rates = {cell: np.empty(spec.trials) for cell in cells}
-    traces = {}
-
-    def one(cell, t):
-        scheme, value = cell
-        scenario = scenario_for_value(spec, value)
-        levels = levels_for_value(spec, value)
-        return run_trial(scenario, scheme, levels, spec.epsilon, seeds[t],
-                         max_outer_iters=spec.max_outer_iters,
-                         keep_trace=keep_traces)
-
-    tasks = [(cell, t) for cell in cells for t in range(spec.trials)]
+    blocks = sweep_blocks(spec)
     if workers == 1:
-        outcomes = [one(cell, t) for cell, t in tasks]
+        outcomes = [_run_block(spec, block, seeds) for block in blocks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda args: one(*args), tasks))
+        # imported here: the pool and its logging machinery cost about
+        # 0.5 MB of memory that a one-worker sweep has no use for
+        from concurrent.futures import ThreadPoolExecutor
 
-    for (cell, t), outcome in zip(tasks, outcomes):
-        if keep_traces:
-            achieved, tr = outcome
-            traces[(cell[0].label, cell[1], t)] = tuple(tr)
-        else:
-            achieved = outcome
-        rates[cell][t] = achieved
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(lambda block: _run_block(spec, block, seeds),
+                                     blocks))
+
+    rates = {(scheme.label, value): np.empty(spec.trials)
+             for scheme in spec.schemes for value in spec.sweep_values}
+    traces, search_stats = {}, {}
+    for outcome in outcomes:
+        for key, (achieved, trace, stats) in outcome.items():
+            rates[key[:2]][key[2]] = achieved
+            if keep_traces:
+                traces[key] = tuple(trace)
+            if stats is not None:
+                search_stats[key] = stats
 
     rows = []
     trial_rates = {}
-    for cell in cells:
-        scheme, value = cell
-        arr = rates[cell]
-        mean = float(np.mean(arr))
-        if spec.trials > 1:
-            err = float(np.std(arr, ddof=1) / math.sqrt(spec.trials))
-        else:
-            err = 0.0
-        rows.append(ResultRow(scheme=scheme.label, value=float(value),
-                              mean_rate_bps_hz=mean, std_error=err,
-                              trials=spec.trials, seed=spec.master_seed))
-        if keep_trials:
-            trial_rates[(scheme.label, float(value))] = arr.copy()
+    for scheme in spec.schemes:
+        for value in spec.sweep_values:
+            arr = rates[(scheme.label, value)]
+            mean = float(np.mean(arr))
+            if spec.trials > 1:
+                err = float(np.std(arr, ddof=1) / math.sqrt(spec.trials))
+            else:
+                err = 0.0
+            rows.append(ResultRow(scheme=scheme.label, value=float(value),
+                                  mean_rate_bps_hz=mean, std_error=err,
+                                  trials=spec.trials, seed=spec.master_seed))
+            if keep_trials:
+                trial_rates[(scheme.label, float(value))] = arr.copy()
 
     return ExperimentResult(rows=tuple(rows), trial_rates=trial_rates,
-                            traces=traces)
+                            traces=traces, search_stats=search_stats)
 
 
 def convergence_trace(scenario: Scenario, levels: int, epsilon: float,

@@ -116,12 +116,21 @@ def snr(channels: ChannelSet, config: PhaseConfig, tx_power: float,
     return tx_power * float(np.vdot(h_eff, h_eff).real) / noise_power
 
 
+def _finite_rate(snr_linear: float, tx_power: float) -> float:
+    """log2(1 + SNR), refused when the SNR overflows the float range."""
+    value = math.log2(1.0 + snr_linear)
+    if not math.isfinite(value):
+        raise ValueError(f"tx_power {tx_power!r} W gives an SNR beyond the "
+                         f"float range, so the rate is not finite")
+    return value
+
+
 def rate_from_gain(gain: float, tx_power: float, noise_power: float) -> float:
     """Rate log2(1 + P * gain / N0) in bit/s/Hz at array gain ||h_eff||^2."""
-    return math.log2(1.0 + tx_power * gain / noise_power)
+    return _finite_rate(tx_power * gain / noise_power, tx_power)
 
 
 def rate(channels: ChannelSet, config: PhaseConfig, tx_power: float,
          noise_power: float) -> float:
     """Achievable uplink rate log2(1 + SNR) in bit/s/Hz."""
-    return math.log2(1.0 + snr(channels, config, tx_power, noise_power))
+    return _finite_rate(snr(channels, config, tx_power, noise_power), tx_power)

@@ -141,6 +141,28 @@ def _nearest_level(target_angle: float, levels: int) -> int:
     return lo
 
 
+def _nearest_levels(x: np.ndarray, levels: int, best: np.ndarray,
+                    tie: np.ndarray) -> None:
+    """_nearest_level of every angle in x, written to ``best`` as float
+    indices in [0, L], where L stands for index 0; x and ``tie`` are
+    overwritten as work space.
+
+    The same rule in closed form. With x the angle in grid steps, reduced
+    to [0, L] as ``_nearest_level`` does, the distances to floor(x) and
+    floor(x) + 1 are x - floor(x) and floor(x) + 1 - x, both exact, so
+    the upper point wins when x - floor(x) > 1/2, and at exactly 1/2
+    only when it is index 0, the wrap of L - 1. That is ceil(x - 1/2),
+    plus one where x - 1/2 == L - 1.
+    """
+    np.multiply(x, levels, x)
+    np.divide(x, 2.0 * math.pi, x)
+    np.remainder(x, levels, x)
+    np.subtract(x, 0.5, x)
+    np.ceil(x, best)
+    np.equal(x, levels - 1, tie)
+    np.add(best, tie, best)
+
+
 def _refine(phi: np.ndarray, h_d: np.ndarray, levels: int, tx_power: float,
             noise_power: float, init_indices: np.ndarray, epsilon: float,
             max_outer_iters: int, record_configs: bool = False):
@@ -199,6 +221,168 @@ def _refine(phi: np.ndarray, h_d: np.ndarray, levels: int, tx_power: float,
             accepted, configs)
 
 
+def refine_batch(phis, h_ds, problem_of, levels: int, tx_powers, noise_powers,
+                 epsilon: float, max_outer_iters: int, *,
+                 record_configs: bool = False) -> list:
+    """``_refine`` for T independent searches at once, one numpy pass per
+    element visit over the searches still running.
+
+    ``phis`` yields P distinct problems of one shape (M, N), ``h_ds`` their P
+    direct channels; search t runs on problem ``problem_of[t]`` with rate
+    parameters ``tx_powers[t]`` and ``noise_powers[t]``, from all-zero
+    phases. A problem that several searches share is stored once. Returns
+    one ``_refine`` tuple per search, in order; each search stops at its
+    own epsilon stop.
+
+    Every quantity is computed with ``_refine``'s operations in its order:
+    kappa's dot product through the same BLAS kernel (a stacked matmul
+    of 1 x M by M x 1 products), ``y`` updated by the same complex
+    product, the gain and the trace accumulated and rated per search in
+    Python; the rounding is ``_nearest_levels``, which equals
+    ``_nearest_level``. Phases, iterations, moves and traces therefore
+    match ``_refine`` bit for bit, unless numpy's vectorized arctan2,
+    which can differ from ``math.atan2`` by one ulp, moves an angle
+    across a rounding boundary it lies within an ulp of. The per-visit
+    cost is about twenty numpy calls whatever T is, so below about
+    BATCH_MIN_SEARCHES searches (see experiments) ``_refine`` one by one
+    is faster.
+    """
+    check_search_settings(levels, epsilon, max_outer_iters)
+    prob = np.asarray(problem_of, dtype=np.intp)
+    num = prob.shape[0]
+    if num == 0:
+        return []
+    # _refine's table, with entry L repeating entry 0
+    table = np.exp(1j * np.arange(levels) * (2.0 * np.pi / levels))
+    table = np.append(table, table[0])
+    users = [[] for _ in h_ds]
+    for t, p in enumerate(prob.tolist()):
+        users[p].append(t)
+
+    # Per problem: conjugated columns, (N, P, 1, M), so that visit n reads
+    # one (P, 1, M) block. Per search: y as (T, M, 1) and the element state
+    # as (N, T) arrays; idx_t holds indices as floats in [0, L].
+    conj_t = norms = y = None
+    for p, (phi, h_d) in enumerate(zip(phis, h_ds)):
+        if conj_t is None:
+            size_m, size_n = phi.shape
+            conj_t = np.empty((size_n, len(users), 1, size_m), dtype=np.complex128)
+            norms = np.empty((size_n, num))
+            y = np.empty((num, size_m, 1), dtype=np.complex128)
+        if phi.shape != (size_m, size_n):
+            raise ValueError(f"problem {p} is {phi.shape[0]} x {phi.shape[1]}, "
+                             f"not {size_m} x {size_n} like problem 0")
+        np.conjugate(phi.T, out=conj_t[:, p, 0, :])
+        norms[:, users[p]] = (phi.real ** 2 + phi.imag ** 2).sum(axis=0)[:, np.newaxis]
+        y[users[p], :, 0] = phi @ np.full(size_n, table[0]) + h_d
+    idx_t = np.zeros((size_n, num))
+    v_t = np.full((size_n, num), table[0])
+    nv_t = norms * v_t
+    gain = np.array([np.vdot(y[t, :, 0], y[t, :, 0]).real for t in range(num)])
+    tx_powers = [float(p) for p in tx_powers]
+    noise_powers = [float(p) for p in noise_powers]
+    traces = [[rate_from_gain(g, p, n)]
+              for g, p, n in zip(gain.tolist(), tx_powers, noise_powers)]
+    configs = ([[np.zeros(size_n, dtype=np.int64)] for _ in range(num)]
+               if record_configs else None)
+    accepted = np.zeros(num, dtype=np.int64)
+    active = np.arange(num)
+    # conj_t[n] serves as is while search t runs on problem t, else gathered
+    gather = len(users) != num or not np.array_equal(prob, active)
+    results = [None] * num
+
+    matmul, subtract, multiply, add = np.matmul, np.subtract, np.multiply, np.add
+    iterations = 0
+    while True:
+        size_t = active.shape[0]
+        y2 = y.reshape(size_t, -1)
+        dots = np.empty((size_t, 1, 1), dtype=np.complex128)
+        dot = dots.reshape(size_t)
+        kappa = np.empty(size_t, dtype=np.complex128)
+        delta = np.empty(size_t, dtype=np.complex128)
+        step = np.empty_like(y2)
+        move_nv = np.empty(size_t, dtype=np.complex128)
+        x, best, gain_step, part = (np.empty(size_t) for _ in range(4))
+        tie, acc = (np.empty(size_t, dtype=bool) for _ in range(2))
+        acc_rows = acc[:, np.newaxis]
+        k_re, k_im, d_re, d_im = kappa.real, kappa.imag, delta.real, delta.imag
+        for n, cols in enumerate(conj_t):
+            if gather:
+                cols = cols[prob]
+            v, nv = v_t[n], nv_t[n]
+            # kappa = phi_n^H y - ||phi_n||^2 v_n
+            matmul(cols, y, dots)
+            subtract(dot, nv, kappa)
+            np.arctan2(k_im, k_re, x)
+            _nearest_levels(x, levels, best, tie)
+            target = table[best.astype(np.intp)]
+            # the gain step 2 Re{conj(delta) kappa}, halved; a move needs > 0
+            subtract(target, v, delta)
+            multiply(d_re, k_re, gain_step)
+            multiply(d_im, k_im, part)
+            add(gain_step, part, gain_step)
+            np.greater(gain_step, 0.0, acc)
+            if not np.count_nonzero(acc):
+                continue
+            np.conjugate(cols.reshape(size_t, -1), step)
+            multiply(step, delta[:, np.newaxis], step)
+            add(y2, step, y2, where=acc_rows)
+            np.copyto(v, target, where=acc)
+            multiply(norms[n], target, move_nv)
+            np.copyto(nv, move_nv, where=acc)
+            np.copyto(idx_t[n], best, where=acc)
+            multiply(gain_step, 2.0, gain_step)
+            add(gain, gain_step, gain, where=acc)
+            accepted += acc
+        iterations += 1
+
+        keep = []
+        for i, (t, g) in enumerate(zip(active.tolist(), gain.tolist())):
+            trace = traces[t]
+            trace.append(rate_from_gain(g, tx_powers[t], noise_powers[t]))
+            if record_configs:
+                configs[t].append((idx_t[:, i] % levels).astype(np.int64))
+            converged = abs(trace[-1] - trace[-2]) <= epsilon
+            if converged or iterations == max_outer_iters:
+                results[t] = ((idx_t[:, i] % levels).astype(np.int64), trace,
+                              iterations, converged, int(accepted[i]),
+                              configs[t] if record_configs else None)
+            else:
+                keep.append(i)
+        if not keep:
+            return results
+        if len(keep) < size_t:
+            # C-ordered copies: y2 must stay a view of y, and matmul takes
+            # the BLAS path only for contiguous operands. The columns stay
+            # where they are and are gathered from then on.
+            active, y, gain, accepted, prob = (np.ascontiguousarray(a[keep]) for a in
+                                               (active, y, gain, accepted, prob))
+            v_t, nv_t, idx_t, norms = (np.ascontiguousarray(a[:, keep])
+                                       for a in (v_t, nv_t, idx_t, norms))
+            gather = True
+
+
+def search_report(found, levels: int, *, group_of: np.ndarray | None = None,
+                  truth=None) -> RefinementReport:
+    """The RefinementReport of one ``_refine`` or ``refine_batch`` result.
+
+    ``group_of`` expands a grouped search's phases to the elements. With
+    ``truth`` = (true channels, tx_power, noise_power), the trace holds
+    each recorded config's rate on the true channels instead of the
+    search's own rates (the position-based scheme).
+    """
+    idx, trace, iterations, converged, accepted, configs = found
+    if group_of is not None:
+        idx = idx[group_of]
+    if truth is not None:
+        channels, tx_power, noise_power = truth
+        trace = [rate(channels, PhaseConfig(indices=cfg, levels=levels), tx_power,
+                      noise_power) for cfg in configs]
+    return RefinementReport(final_phases=PhaseConfig(indices=idx, levels=levels),
+                            rate_trace=tuple(trace), iterations=iterations,
+                            converged=converged, accepted_moves=accepted)
+
+
 def successive_refinement(channels: ChannelSet, levels: int, tx_power: float,
                           noise_power: float, *, epsilon: float = DEFAULT_EPSILON,
                           init_phases: PhaseConfig | None = None,
@@ -215,12 +399,9 @@ def successive_refinement(channels: ChannelSet, levels: int, tx_power: float,
         if init_phases.indices.shape[0] != n:
             raise ValueError("init_phases length does not match element count")
         init = init_phases.indices
-    idx, trace, iterations, converged, accepted, _ = _refine(
-        channels.cascade, channels.h_d, levels, tx_power, noise_power, init,
-        epsilon, max_outer_iters)
-    return RefinementReport(final_phases=PhaseConfig(indices=idx, levels=levels),
-                            rate_trace=tuple(trace), iterations=iterations,
-                            converged=converged, accepted_moves=accepted)
+    return search_report(_refine(channels.cascade, channels.h_d, levels, tx_power,
+                                 noise_power, init, epsilon, max_outer_iters),
+                         levels)
 
 
 def brute_force(channels: ChannelSet, levels: int, tx_power: float,
@@ -269,6 +450,20 @@ def grouping_layout(irs_shape: tuple[int, int], grouping: GroupingSpec) -> np.nd
     return (r // grouping.group_rows) * groups_per_row + (c // grouping.group_cols)
 
 
+def grouped_cascade(phi: np.ndarray, group_of: np.ndarray) -> np.ndarray:
+    """The reduced (M, G) problem: Phi's columns summed per group.
+
+    Each group's columns in element order are summed as one contiguous
+    run: the reduction a masked sum per group does. The sum comes out in
+    Fortran order, and the search's products differ in the last bits by
+    layout, so it is made C-ordered.
+    """
+    num_groups = int(group_of.max()) + 1
+    members = np.argsort(group_of, kind="stable")
+    return np.ascontiguousarray(
+        phi[:, members].reshape(phi.shape[0], num_groups, -1).sum(axis=2))
+
+
 def optimize_grouped(channels: ChannelSet, irs_shape: tuple[int, int],
                      grouping: GroupingSpec, levels: int, tx_power: float,
                      noise_power: float, *, epsilon: float = DEFAULT_EPSILON,
@@ -286,25 +481,11 @@ def optimize_grouped(channels: ChannelSet, irs_shape: tuple[int, int],
             f"irs_shape {irs_rows}x{irs_cols} does not match "
             f"{channels.num_irs_elements} channel columns")
     group_of = grouping_layout(irs_shape, grouping)
-    num_groups = int(group_of.max()) + 1
-
-    # Each group's columns in element order, summed as one contiguous run:
-    # the reduction a masked sum per group does. The sum comes out in
-    # Fortran order, and the search's products differ in the last bits by
-    # layout, so it is made C-ordered.
-    phi = channels.cascade
-    members = np.argsort(group_of, kind="stable")
-    phi_red = np.ascontiguousarray(
-        phi[:, members].reshape(phi.shape[0], num_groups, -1).sum(axis=2))
-
-    init = np.zeros(num_groups, dtype=np.int64)
-    red_idx, trace, iterations, converged, accepted, _ = _refine(
-        phi_red, channels.h_d, levels, tx_power, noise_power, init, epsilon,
-        max_outer_iters)
-    full = PhaseConfig(indices=red_idx[group_of], levels=levels)
-    return RefinementReport(final_phases=full, rate_trace=tuple(trace),
-                            iterations=iterations, converged=converged,
-                            accepted_moves=accepted)
+    phi_red = grouped_cascade(channels.cascade, group_of)
+    init = np.zeros(phi_red.shape[1], dtype=np.int64)
+    return search_report(_refine(phi_red, channels.h_d, levels, tx_power,
+                                 noise_power, init, epsilon, max_outer_iters),
+                         levels, group_of=group_of)
 
 
 def optimize_position_based(scenario: Scenario, true_channels: ChannelSet,
@@ -324,13 +505,7 @@ def optimize_position_based(scenario: Scenario, true_channels: ChannelSet,
         raise ValueError("true_channels dimensions do not match the scenario")
     estimate = los_channel_matrix(scenario)
     init = np.zeros(scenario.irs_elements, dtype=np.int64)
-    idx, _, iterations, converged, accepted, configs = _refine(
-        estimate.cascade, estimate.h_d, levels, tx_power, noise_power, init,
-        epsilon, max_outer_iters, record_configs=True)
-    achieved = tuple(
-        rate(true_channels, PhaseConfig(indices=cfg, levels=levels),
-             tx_power, noise_power)
-        for cfg in configs)
-    return RefinementReport(final_phases=PhaseConfig(indices=idx, levels=levels),
-                            rate_trace=achieved, iterations=iterations,
-                            converged=converged, accepted_moves=accepted)
+    return search_report(_refine(estimate.cascade, estimate.h_d, levels, tx_power,
+                                 noise_power, init, epsilon, max_outer_iters,
+                                 record_configs=True),
+                         levels, truth=(true_channels, tx_power, noise_power))

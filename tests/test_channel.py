@@ -384,3 +384,17 @@ def test_rician_rayleigh_limit_power():
     power = np.abs(samples) ** 2
     err = power.std(ddof=1) / math.sqrt(power.size)
     assert abs(power.mean() - loss) < 5 * err
+
+
+def test_scenario_refuses_geometry_beyond_the_float_range():
+    # distances and phases that overflow are refused at the key, not as
+    # non-finite channel entries in the draw
+    for changes, match in (
+            ({"c_v": 1e200}, r"^c_v 1e\+200 m puts the vehicle-IRS distance"),
+            ({"b_bs": -1e300}, r"^b_bs -1e\+300 m puts the IRS-BS distance"),
+            ({"element_spacing": 1e308}, r"^element_spacing 1e\+308 gives steering"),
+            ({"f_c": 1e300, "c_v": 1e150}, r"^f_c 1e\+300 Hz gives the vehicle-IRS")):
+        with pytest.raises(ValueError, match=match):
+            Scenario(irs_rows=4, irs_cols=4, **changes)
+    far = Scenario(irs_rows=4, irs_cols=4, c_v=1e150)
+    assert np.all(np.isfinite(rician_channel(far, np.random.default_rng(0)).h_v))

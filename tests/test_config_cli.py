@@ -464,6 +464,43 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         assert (f"[scenario] {key} (--set override): {key} "
                 in capsys.readouterr().err)
 
+    # geometry whose distances or steering phases overflow is refused at
+    # its key, before any channel draw
+    cfg.write_text(TINY_SCENARIO + "[sweep]\nvariable = vehicle_offset_c_v\n"
+                   "values = 0, 1e200\nschemes = no_irs\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_path)]) == 2
+    assert ("[sweep] values (line 13): vehicle_offset_c_v 1e+200 is out of range: "
+            "c_v 1e+200 m puts" in capsys.readouterr().err)
+    assert not out_path.exists()
+    cfg.write_text(TINY_SCENARIO.replace("bs_cols = 1\n",
+                                         "bs_cols = 1\nelement_spacing = 1e308\n"))
+    assert main(["optimize", "--config", str(cfg)]) == 2
+    assert ("[scenario] element_spacing (line 6): element_spacing 1e+308 gives"
+            in capsys.readouterr().err)
+
+
+def test_cli_refuses_an_snr_beyond_the_float_range(tmp_path, capsys):
+    # the rate of an overflowing SNR is not printed as inf after a full
+    # search: the first evaluation exits 2 naming tx_power
+    cfg = tmp_path / "loud.cfg"
+    loud = TINY_SCENARIO.replace("bs_cols = 1\n", "bs_cols = 1\ntx_power = 1e308\n")
+    cfg.write_text(loud)
+    for scheme in ("full_csi", "grouped_2x2", "position_based"):
+        assert main(["optimize", "--config", str(cfg), "--scheme", scheme]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tx_power 1e+308 W gives an SNR")
+        assert captured.err.count("\n") == 1
+    out_path = tmp_path / "t.csv"
+    for schemes in ("no_irs", "full_csi", "grouped_2x2, position_based"):
+        cfg.write_text(loud + "[sweep]\nvariable = vehicle_offset_c_v\nvalues = 0, 1\n"
+                       f"schemes = {schemes}\ntrials = 20\n")
+        assert main(["sweep", "--config", str(cfg), "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: tx_power 1e+308 W gives an SNR")
+        assert captured.err.count("\n") == 1
+        assert not out_path.exists()
+
 
 def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["optimize", "--config", str(tmp_path / "ghost.cfg")]) == 1

@@ -21,9 +21,11 @@ from irslink import (
     rician_channel,
     run_sweep,
     run_trial,
+    solve,
     successive_refinement,
     trial_seed,
 )
+from irslink import experiments
 from irslink.experiments import levels_for_value, scenario_for_value
 
 SMALL = Scenario(irs_rows=4, irs_cols=4, bs_rows=2, bs_cols=1)
@@ -281,3 +283,62 @@ def test_convergence_trace_shape():
     assert all(b >= a for a, b in zip(trace, trace[1:]))
     assert abs(trace[-1] - trace[-2]) <= 1e-6
     assert trace == convergence_trace(SMALL, 4, 1e-6, 123)
+
+
+def test_run_sweep_batched_blocks_match_per_trial_path(monkeypatch):
+    # 2 values x 20 trials on a 4x4 surface make one block of 40 draws,
+    # so every scheme's searches run batched, position_based on two
+    # shared LOS estimates; rates must equal run_trial's bit for bit and
+    # the kept stats solve's reports
+    base = Scenario(irs_rows=4, irs_cols=4)
+    spec = SweepSpec(base_scenario=base, swept_variable="vehicle_offset_c_v",
+                     sweep_values=(-3.0, 2.0),
+                     schemes=(Scheme("no_irs"), Scheme("full_csi"),
+                              Scheme("grouped", 2, 2), Scheme("position_based")),
+                     trials=20, master_seed=9)
+    assert [len(block) for block in experiments.sweep_blocks(spec)] == [40]
+    batched = []
+    real = experiments.refine_batch
+    monkeypatch.setattr(experiments, "refine_batch",
+                        lambda *a, **k: batched.append(len(a[2])) or real(*a, **k))
+    result = run_sweep(spec, keep_trials=True, keep_traces=True)
+    assert batched == [40, 40, 40]
+    for scheme in spec.schemes:
+        for value in spec.sweep_values:
+            scn = scenario_for_value(spec, value)
+            for t in range(spec.trials):
+                seed = trial_seed(9, t)
+                achieved, trace = run_trial(scn, scheme, 4, 1e-6, seed,
+                                            keep_trace=True)
+                key = (scheme.label, value, t)
+                assert result.trial_rates[key[:2]][t] == achieved, key
+                assert result.traces[key] == tuple(trace), key
+                if scheme.name == "no_irs":
+                    assert key not in result.search_stats
+                    continue
+                report = solve(scn, rician_channel(scn, np.random.default_rng(seed)),
+                               scheme, 4, 1e-6)
+                assert result.search_stats[key] == (
+                    report.iterations, report.converged, report.accepted_moves), key
+    assert len(result.search_stats) == 3 * 2 * 20
+    # the same bytes on two workers, and with every search run per draw
+    assert run_sweep(spec, workers=2).to_table() == result.to_table()
+    monkeypatch.setattr(experiments, "BATCH_MIN_SEARCHES", 41)
+    per_draw = run_sweep(spec, keep_trials=True, keep_traces=True)
+    assert batched == [40] * 6
+    assert per_draw.to_json() == result.to_json()
+    assert per_draw.search_stats == result.search_stats
+
+
+def test_sweep_blocks_follow_the_spec_alone():
+    spec = SweepSpec(base_scenario=Scenario(), swept_variable="tx_power",
+                     sweep_values=(0.0, 10.0, 20.0), schemes=(Scheme("full_csi"),),
+                     trials=30, master_seed=1)
+    blocks = experiments.sweep_blocks(spec)
+    # 16 x 8 x 256 bytes of cascade a draw: at most 12 draws to a 384 KiB
+    # block, so 90 draws take 8 blocks
+    assert [len(block) for block in blocks] == [11, 11, 11, 12, 11, 11, 11, 12]
+    assert [d for block in blocks for d in block] == [
+        (v, t) for v in (0.0, 10.0, 20.0) for t in range(30)]
+    large = replace(spec, base_scenario=Scenario(irs_rows=512, irs_cols=512))
+    assert {len(block) for block in experiments.sweep_blocks(large)} == {1}

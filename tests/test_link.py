@@ -212,3 +212,18 @@ def test_rate_strictly_increasing_in_power():
     powers = [1e-4, 1e-3, 1e-2, 1e-1, 1.0]
     rates = [rate(ch, cfg, p, 1e-9) for p in powers]
     assert all(b > a for a, b in zip(rates, rates[1:]))
+
+
+def test_rate_refuses_an_snr_beyond_the_float_range():
+    from irslink.link import rate_from_gain
+    from irslink.optimizer import refine_batch
+
+    ch = ChannelSet(h_r=np.ones((1, 2)), h_v=np.ones(2), h_d=np.ones(1))
+    cfg = PhaseConfig(indices=np.array([0, 0]), levels=2)
+    assert rate(ch, cfg, 1e300, 1.0) == pytest.approx(math.log2(9e300))
+    for evaluate in (lambda: rate(ch, cfg, 1e308, 1e-3),
+                     lambda: rate_from_gain(9.0, 1e308, 1e-3),
+                     lambda: refine_batch([ch.cascade], [ch.h_d], [0, 0], 2,
+                                          [1.0, 1e308], [1.0, 1e-3], 1e-6, 100)):
+        with pytest.raises(ValueError, match=r"^tx_power 1e\+308 W gives an SNR"):
+            evaluate()

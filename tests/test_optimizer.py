@@ -567,3 +567,136 @@ def test_rank_m_search_matches_n_by_n_reference(scheme):
         assert report.accepted_moves == acc > 0, seed
         assert len(report.rate_trace) == len(trace)
         assert np.allclose(report.rate_trace, trace, rtol=1e-12, atol=0), seed
+
+
+# ------------------------------------------------------------ batched search
+
+
+def batch_case(seed, m, n, num, problems, zero_cols, integer):
+    """(phis, h_ds, problem_of, tx_powers, noise_powers) of a batch.
+
+    Integer-valued channels put many cross-terms exactly on a rounding
+    boundary, which exercises the tie rule; Gaussian ones do not.
+    """
+    rng = np.random.default_rng(seed)
+
+    def entries(shape):
+        if integer:
+            return (rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape)).astype(
+                np.complex128)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    phis = [entries((m, n)) for _ in range(problems)]
+    for phi in phis:
+        phi[:, rng.random(n) < zero_cols] = 0.0
+    h_ds = [entries(m) for _ in range(problems)]
+    problem_of = rng.integers(0, problems, num)
+    tx_powers = 10.0 ** rng.uniform(-3, 1, num)
+    noise_powers = 10.0 ** rng.uniform(-2, 0, num)
+    return phis, h_ds, problem_of, tx_powers, noise_powers
+
+
+def scalar_searches(case, levels, epsilon, max_outer_iters, record_configs=False):
+    phis, h_ds, problem_of, tx_powers, noise_powers = case
+    init = np.zeros(phis[0].shape[1], dtype=np.int64)
+    return [optimizer_module._refine(phis[p], h_ds[p], levels, tx_powers[t],
+                                     noise_powers[t], init, epsilon,
+                                     max_outer_iters, record_configs)
+            for t, p in enumerate(problem_of)]
+
+
+def batch_searches(case, levels, epsilon, max_outer_iters, record_configs=False):
+    phis, h_ds, problem_of, tx_powers, noise_powers = case
+    return optimizer_module.refine_batch(
+        iter(phis), h_ds, problem_of, levels, tx_powers, noise_powers, epsilon,
+        max_outer_iters, record_configs=record_configs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 4), n=st.integers(1, 24),
+       levels=st.sampled_from((1, 2, 3, 4, 8, 16)), num=st.integers(1, 6),
+       problems=st.integers(1, 3), zero_cols=st.sampled_from((0.0, 0.3, 1.0)),
+       integer=st.booleans(), epsilon=st.sampled_from((1e-6, 1e-3, 1e-12)),
+       max_outer_iters=st.sampled_from((1, 2, 100)), record=st.booleans())
+def test_refine_batch_matches_scalar_search(seed, m, n, levels, num, problems,
+                                            zero_cols, integer, epsilon,
+                                            max_outer_iters, record):
+    case = batch_case(seed, m, n, num, problems, zero_cols, integer)
+    want = scalar_searches(case, levels, epsilon, max_outer_iters, record)
+    got = batch_searches(case, levels, epsilon, max_outer_iters, record)
+    assert len(got) == len(want)
+    for (idx, trace, its, conv, acc, configs), ref in zip(got, want):
+        assert np.array_equal(idx, ref[0])
+        assert (its, conv, acc) == ref[2:5]
+        assert np.allclose(trace, ref[1], rtol=1e-15, atol=0)
+        if record:
+            assert np.array_equal(configs, ref[5])
+        else:
+            assert configs is None
+
+
+def test_refine_batch_search_alone_equals_search_in_batch():
+    # one search gives the same bits whatever runs beside it, and the
+    # batch's searches stop at different sweeps
+    phis, h_ds, problem_of, tx_powers, noise_powers = batch_case(
+        7, 8, 64, 40, 40, 0.0, False)
+    together = batch_searches((phis, h_ds, range(40), tx_powers, noise_powers),
+                              4, 1e-6, 100)
+    assert len({found[2] for found in together}) > 1
+    for t in range(40):
+        alone = batch_searches(([phis[t]], [h_ds[t]], [0], tx_powers[t:t + 1],
+                                noise_powers[t:t + 1]), 4, 1e-6, 100)[0]
+        assert np.array_equal(alone[0], together[t][0])
+        assert alone[1] == together[t][1]
+        assert alone[2:5] == together[t][2:5]
+
+
+def batch_rounding(angles, levels):
+    x = np.array(angles, dtype=np.float64)
+    best, tie = np.empty_like(x), np.empty(x.shape, dtype=bool)
+    optimizer_module._nearest_levels(x, levels, best, tie)
+    assert np.all((0 <= best) & (best <= levels) & (best == np.floor(best)))
+    return (best % levels).astype(np.int64).tolist()
+
+
+def test_batch_rounding_matches_nearest_level_on_every_tie():
+    for levels in QUANTIZER_LEVELS + (5, 7):
+        angles = list(tie_angles(levels))
+        assert batch_rounding(angles, levels) == [
+            optimizer_module._nearest_level(a, levels) for a in angles], levels
+
+
+@settings(max_examples=300, deadline=None)
+@given(levels=st.sampled_from(QUANTIZER_LEVELS),
+       angles=st.lists(st.one_of(
+           st.floats(-1e3, 1e3, allow_nan=False),
+           st.floats(-1e-300, 1e-300, allow_nan=False),
+           st.builds(lambda k, n, steps: nudged(k * math.pi / n, steps),
+                     st.integers(-1024, 1024), st.sampled_from(QUANTIZER_LEVELS),
+                     st.integers(-3, 3))), min_size=1, max_size=20))
+def test_batch_rounding_matches_nearest_level(levels, angles):
+    assert batch_rounding(angles, levels) == [
+        optimizer_module._nearest_level(a, levels) for a in angles]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 4),
+       shape=st.sampled_from(((2, 2), (4, 4), (2, 6), (6, 4))),
+       group=st.sampled_from(((1, 1), (2, 2), (1, 2), (2, 1))),
+       levels=st.sampled_from((2, 3, 4, 8)))
+def test_full_csi_and_grouped_traces_are_monotone(seed, m, shape, group, levels):
+    rng = np.random.default_rng(seed)
+    ch = random_channels(rng, m, shape[0] * shape[1])
+    p, n0 = 10.0 ** rng.uniform(-2, 1), 10.0 ** rng.uniform(-2, 0)
+    group_of = grouping_layout(shape, GroupingSpec(*group))
+    phi_red = optimizer_module.grouped_cascade(ch.cascade, group_of)
+    batched = [optimizer_module.refine_batch([phi], [ch.h_d], [0], levels, [p], [n0],
+                                             1e-9, 100)[0][1]
+               for phi in (ch.cascade, phi_red)]
+    for trace in (successive_refinement(ch, levels, p, n0, epsilon=1e-9).rate_trace,
+                  optimize_grouped(ch, shape, GroupingSpec(*group), levels, p, n0,
+                                   epsilon=1e-9).rate_trace, *batched):
+        assert all(b >= a for a, b in zip(trace, trace[1:]))
+    with pytest.raises(ValueError, match="like problem 0"):
+        optimizer_module.refine_batch([ch.cascade, np.ones((1, 1))], [ch.h_d] * 2,
+                                      [0, 1], levels, [p, p], [n0, n0], 1e-9, 100)
