@@ -15,6 +15,7 @@ binary64 exactly.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import tempfile
@@ -151,20 +152,23 @@ def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via a temp file and a rename.
 
     The file gets the mode a plain ``open(path, "w")`` would create it
-    with, not mkstemp's owner-only 0600.
+    with, not mkstemp's owner-only 0600. An OSError names ``path``, not
+    the temp file.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".txt")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".txt")
         umask = os.umask(0)  # the umask can only be read by setting it
         os.umask(umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             os.fchmod(fd, 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise

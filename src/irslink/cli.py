@@ -11,13 +11,15 @@ Subcommands:
 * ``convergence``: print the per-sweep rate trace of one seeded run.
 * ``import-channels``: validate an external channel file.
 
-Output files are written atomically (temp file + rename). Exit status
-is 0 on success, 2 on configuration or input errors.
+Output files are written atomically (temp file + rename), into
+directories checked before any work. Exit status is 0 on success, 2 on
+configuration or input errors, 1 when a file cannot be read or written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -46,6 +48,22 @@ def _load_scenario(args) -> tuple[Scenario, OptimizerSettings]:
     return scenario, settings
 
 
+def _check_out_dirs(args, *flags: str) -> None:
+    """Refuse, before any work, an output flag whose directory is missing."""
+    for flag in flags:
+        path = getattr(args, flag)
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(f"--{flag} {path}: no such directory")
+
+
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer in decimal digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _write_or_print(text: str, out: str | None) -> int:
     """Write text to out atomically and say so, or print it without out."""
     if out:
@@ -57,6 +75,7 @@ def _write_or_print(text: str, out: str | None) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    _check_out_dirs(args, "out")
     scenario, settings = _load_scenario(args)
     scheme = Scheme.parse(args.scheme)
     if args.channels:
@@ -79,6 +98,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_out_dirs(args, "out", "dump")
     text = _read_text(args.config)
     parsed = parse_config(text, tuple(args.set or ()))
     if not isinstance(parsed, SweepSpec):
@@ -96,6 +116,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
+    _check_out_dirs(args, "out")
     scenario, settings = _load_scenario(args)
     trace = convergence_trace(scenario, settings.levels, settings.epsilon,
                               args.seed,
@@ -127,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                                           "synthesizing")
     p_opt.add_argument("--scheme", default="full_csi",
                        help="full_csi, grouped_RxC or position_based")
-    p_opt.add_argument("--seed", type=int, default=None,
+    p_opt.add_argument("--seed", type=_seed, default=None,
                        help="channel draw seed (default from [optimizer])")
     p_opt.add_argument("--out", help="write the report here instead of stdout")
     p_opt.set_defaults(func=_cmd_optimize)
@@ -144,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("convergence", parents=[common],
                             help="print one refinement trace")
-    p_conv.add_argument("--seed", type=int, required=True)
+    p_conv.add_argument("--seed", type=_seed, required=True)
     p_conv.add_argument("--out", help="write the trace here instead of stdout")
     p_conv.set_defaults(func=_cmd_convergence)
 

@@ -26,11 +26,11 @@ import numpy as np
 
 from .channel import ChannelSet, Scenario, los_channel_matrix, rician_channel
 from .link import rate, rate_from_gain
-from .optimizer import (DEFAULT_EPSILON, DEFAULT_MAX_OUTER_ITERS, MAX_LEVELS,
-                        GroupingSpec, RefinementReport, check_search_settings,
-                        grouped_cascade, grouping_layout, optimize_grouped,
-                        optimize_position_based, refine_batch, search_report,
-                        successive_refinement)
+from .optimizer import (BATCH_MIN_SEARCHES, DEFAULT_EPSILON,
+                        DEFAULT_MAX_OUTER_ITERS, MAX_LEVELS, GroupingSpec,
+                        RefinementReport, check_search_settings, grouped_cascade,
+                        grouping_layout, optimize_grouped, optimize_position_based,
+                        refine_batch, search_report, successive_refinement)
 
 SWEEP_VARIABLES = ("vehicle_offset_c_v", "tx_power", "quantization_bits")
 MAX_QUANTIZATION_BITS = MAX_LEVELS.bit_length() - 1
@@ -42,10 +42,6 @@ MAX_QUANTIZATION_BITS = MAX_LEVELS.bit_length() - 1
 # freed with the block. Larger blocks search faster per draw but hold
 # more memory while they run.
 BLOCK_BYTES = 384 << 10
-# Fewest searches for which the batched search beats per-draw searches
-# (16x16 surface, 8 antennas, L = 4, on a 2-core x86-64 box); smaller
-# groups run per draw.
-BATCH_MIN_SEARCHES = 8
 
 SCHEME_NAMES = ("no_irs", "full_csi", "grouped", "position_based")
 
@@ -265,7 +261,8 @@ def solve_block(scenarios, draws, scheme: Scheme, levels: int, epsilon: float,
     From BATCH_MIN_SEARCHES draws on, all searches run as one batched
     search: full_csi on each Phi, grouped on each group-summed Phi and
     position_based on the LOS estimate of each distinct scenario. Fewer
-    draws are solved one by one.
+    draws are solved one by one through the scheme's public optimizer,
+    whose search sweeps in Python as a batch of so few would.
     """
     if len(draws) < BATCH_MIN_SEARCHES:
         return [solve(scenario, channels, scheme, levels, epsilon,

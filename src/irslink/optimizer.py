@@ -22,9 +22,12 @@ Implementation notes that matter for reproducibility and cost:
   A = Phi^H Phi (rank <= M): setup costs O(M N), each visit O(M) for
   kappa_n and each accepted move O(M) for y += phi_n (v_n' - v_n), so a
   sweep costs O(M N) time and the search O(M N) memory.
-* Rounding to the phase grid compares only the two grid points around
-  the target, with the distance expression and tie rule of
-  ``quantize_phase``, so both give the same index.
+* Rounding to the phase grid is one closed form, the same operations
+  in Python (``_nearest_level``) and numpy (``_nearest_levels``). With x
+  the angle in grid steps reduced to [0, L], only floor(x) and
+  floor(x) + 1 (mod L) can be nearest, at exact distances; exact ties go
+  to the smaller index, as an argmin over the grid would. That is
+  ceil(x - 1/2), plus one where x - 1/2 == L - 1, mod L.
 * The reported trace accumulates the exact per-move improvements on top
   of the initial gain; agreement with a from-scratch evaluation is a
   tested invariant.
@@ -48,6 +51,10 @@ DEFAULT_MAX_OUTER_ITERS = 100
 # The search builds a table with one entry per level, so an unbounded
 # value could ask for more memory than any host has.
 MAX_LEVELS = 2 ** 16
+# Fewest searches for which refine_batch's numpy pass beats one Python
+# sweep per search (16x16 surface, 8 antennas, L = 4, on a 2-core x86-64
+# box).
+BATCH_MIN_SEARCHES = 8
 
 
 def check_search_settings(levels: int, epsilon: float = DEFAULT_EPSILON,
@@ -116,44 +123,16 @@ def quantize_phase(target_angle: float, levels: int) -> int:
 
 
 def _nearest_level(target_angle: float, levels: int) -> int:
-    """quantize_phase without argument checks.
-
-    With x the angle in grid steps, reduced to [0, L], only floor(x) and
-    floor(x) + 1 (mod L) can be nearest: every other grid point is at
-    least one step away, and rounding cannot bring it below the half
-    step the nearer of the two is within. The distance is computed as
-    min(|x - k|, L - |x - k|) for k in [0, L), and a tie goes to the
-    smaller index, as an argmin over the whole grid would.
-    """
-    x = math.fmod(target_angle * levels / (2.0 * math.pi), levels)
-    if x < 0.0:
-        x += levels
-    lo = int(x) % levels
-    hi = (lo + 1) % levels
-    d_lo = abs(x - lo)
-    if levels - d_lo < d_lo:
-        d_lo = levels - d_lo
-    d_hi = abs(x - hi)
-    if levels - d_hi < d_hi:
-        d_hi = levels - d_hi
-    if d_hi < d_lo or (d_hi == d_lo and hi < lo):
-        return hi
-    return lo
+    """quantize_phase without argument checks (module docstring)."""
+    x = target_angle * levels / (2.0 * math.pi) % levels - 0.5
+    return (math.ceil(x) + (x == levels - 1)) % levels
 
 
 def _nearest_levels(x: np.ndarray, levels: int, best: np.ndarray,
                     tie: np.ndarray) -> None:
     """_nearest_level of every angle in x, written to ``best`` as float
     indices in [0, L], where L stands for index 0; x and ``tie`` are
-    overwritten as work space.
-
-    The same rule in closed form. With x the angle in grid steps, reduced
-    to [0, L] as ``_nearest_level`` does, the distances to floor(x) and
-    floor(x) + 1 are x - floor(x) and floor(x) + 1 - x, both exact, so
-    the upper point wins when x - floor(x) > 1/2, and at exactly 1/2
-    only when it is index 0, the wrap of L - 1. That is ceil(x - 1/2),
-    plus one where x - 1/2 == L - 1.
-    """
+    overwritten as work space."""
     np.multiply(x, levels, x)
     np.divide(x, 2.0 * math.pi, x)
     np.remainder(x, levels, x)
@@ -163,98 +142,63 @@ def _nearest_levels(x: np.ndarray, levels: int, best: np.ndarray,
     np.add(best, tie, best)
 
 
-def _refine(phi: np.ndarray, h_d: np.ndarray, levels: int, tx_power: float,
-            noise_power: float, init_indices: np.ndarray, epsilon: float,
-            max_outer_iters: int, record_configs: bool = False):
-    """Coordinate-ascent core shared by all refinement entry points.
-
-    Maximizes ||phi v + h_d||^2 over the discrete phases of v. Returns
-    (indices, trace, iterations, converged, accepted_moves, configs)
-    where configs lists the index vector after init and after each sweep
-    when record_configs is set (otherwise None).
+def _scalar_sweep(dots, cols, norms, idx, v, y, gain: float, table,
+                  levels: int) -> tuple[float, int]:
+    """One Python sweep of one search; returns its gain and moves. ``dots``
+    are the dot methods of the conjugated columns ``cols``; ``idx``, ``v``
+    and ``y`` are updated in place. At O(M) work per visit the interpreter
+    sets the cost, and Python lists and complex numbers beat numpy there.
     """
-    check_search_settings(levels, epsilon, max_outer_iters)
-
-    # Per-element state lives in Python lists: with O(M) work per visit
-    # the interpreter, not numpy, sets the cost, and list indexing and
-    # Python complex arithmetic beat numpy scalar access there.
-    table = np.exp(1j * np.arange(levels) * (2.0 * np.pi / levels)).tolist()
-    rows = np.ascontiguousarray(phi.T)
-    cols = list(rows)
-    conj_dots = [col.dot for col in rows.conj()]
-    norms = (phi.real ** 2 + phi.imag ** 2).sum(axis=0).tolist()
-    idx = [int(k) for k in init_indices]
-    v = [table[k] for k in idx]
-    y = phi @ np.array(v, dtype=np.complex128) + h_d
-
-    gain = float(np.vdot(y, y).real)
-    trace = [rate_from_gain(gain, tx_power, noise_power)]
-    configs = [list(idx)] if record_configs else None
-
-    iterations = 0
-    accepted = 0
-    converged = False
-    for _ in range(max_outer_iters):
-        for n in range(len(idx)):
-            kappa = complex(conj_dots[n](y)) - norms[n] * v[n]
-            if kappa == 0.0:
-                continue
-            best = _nearest_level(math.atan2(kappa.imag, kappa.real), levels)
-            if best == idx[n]:
-                continue
-            delta = table[best] - v[n]
-            gain_step = 2.0 * (delta.conjugate() * kappa).real
-            if gain_step > 0.0:
-                y += cols[n] * delta
-                v[n] = table[best]
-                idx[n] = best
-                gain += gain_step
-                accepted += 1
-        iterations += 1
-        trace.append(rate_from_gain(gain, tx_power, noise_power))
-        if record_configs:
-            configs.append(list(idx))
-        if abs(trace[-1] - trace[-2]) <= epsilon:
-            converged = True
-            break
-    return (np.array(idx, dtype=np.int64), trace, iterations, converged,
-            accepted, configs)
+    moves = 0
+    for n in range(len(idx)):
+        kappa = complex(dots[n](y)) - norms[n] * v[n]
+        if kappa == 0.0:
+            continue
+        best = _nearest_level(math.atan2(kappa.imag, kappa.real), levels)
+        if best == idx[n]:
+            continue
+        delta = table[best] - v[n]
+        gain_step = 2.0 * (delta.conjugate() * kappa).real
+        if gain_step > 0.0:
+            y += cols[n] * delta
+            v[n] = table[best]
+            idx[n] = best
+            gain += gain_step
+            moves += 1
+    return gain, moves
 
 
 def refine_batch(phis, h_ds, problem_of, levels: int, tx_powers, noise_powers,
                  epsilon: float, max_outer_iters: int, *,
                  record_configs: bool = False) -> list:
-    """``_refine`` for T independent searches at once, one numpy pass per
-    element visit over the searches still running.
+    """T independent searches from all-zero phases, each maximizing
+    ||phi v + h_d||^2 over the discrete phases of v.
 
     ``phis`` yields P distinct problems of one shape (M, N), ``h_ds`` their P
     direct channels; search t runs on problem ``problem_of[t]`` with rate
-    parameters ``tx_powers[t]`` and ``noise_powers[t]``, from all-zero
-    phases. A problem that several searches share is stored once. Returns
-    one ``_refine`` tuple per search, in order; each search stops at its
-    own epsilon stop.
+    parameters ``tx_powers[t]`` and ``noise_powers[t]``, and stops at its
+    own epsilon stop. Returns per search, in order, (indices, trace,
+    iterations, converged, accepted_moves, configs), configs listing the
+    indices after init and after each sweep if record_configs is set.
 
-    Every quantity is computed with ``_refine``'s operations in its order:
-    kappa's dot product through the same BLAS kernel (a stacked matmul
-    of 1 x M by M x 1 products), ``y`` updated by the same complex
-    product, the gain and the trace accumulated and rated per search in
-    Python; the rounding is ``_nearest_levels``, which equals
-    ``_nearest_level``. Phases, iterations, moves and traces therefore
-    match ``_refine`` bit for bit, unless numpy's vectorized arctan2,
-    which can differ from ``math.atan2`` by one ulp, moves an angle
-    across a rounding boundary it lies within an ulp of. The per-visit
-    cost is about twenty numpy calls whatever T is, so below about
-    BATCH_MIN_SEARCHES searches (see experiments) ``_refine`` one by one
-    is faster.
+    Below BATCH_MIN_SEARCHES searches, each search sweeps in Python
+    (``_scalar_sweep``). From there on one numpy pass per element visit,
+    about twenty numpy calls whatever T is, serves every search still
+    running. It computes each quantity with the Python sweep's operations
+    in its order: kappa's dot product through the same BLAS kernel (a
+    stacked matmul of 1 x M by M x 1 products), the same complex product
+    to update ``y``, gains and traces accumulated and rated per search in
+    Python, the same rounding. So both give the same bits, unless numpy's
+    vectorized arctan2, which can differ from ``math.atan2`` by one ulp,
+    moves an angle across a rounding boundary it lies within an ulp of.
     """
     check_search_settings(levels, epsilon, max_outer_iters)
     prob = np.asarray(problem_of, dtype=np.intp)
     num = prob.shape[0]
     if num == 0:
         return []
-    # _refine's table, with entry L repeating entry 0
-    table = np.exp(1j * np.arange(levels) * (2.0 * np.pi / levels))
-    table = np.append(table, table[0])
+    # the phase set, with entry L repeating entry 0
+    table = np.exp(1j * (np.arange(levels + 1) % levels) * (2.0 * np.pi / levels))
     users = [[] for _ in h_ds]
     for t, p in enumerate(prob.tolist()):
         users[p].append(t)
@@ -290,50 +234,70 @@ def refine_batch(phis, h_ds, problem_of, levels: int, tx_powers, noise_powers,
     # conj_t[n] serves as is while search t runs on problem t, else gathered
     gather = len(users) != num or not np.array_equal(prob, active)
     results = [None] * num
+    scalar = num < BATCH_MIN_SEARCHES
+    if scalar:
+        # per search: its problem's dot methods and columns, and its
+        # norms, indices and phases, as _scalar_sweep takes them
+        table_list = table.tolist()
+        lists = []
+        for t, p in enumerate(prob.tolist()):
+            conj_rows = conj_t[:, p, 0, :]
+            lists.append(([row.dot for row in conj_rows], list(conj_rows.conj()),
+                          norms[:, t].tolist(), [0] * size_n,
+                          [table_list[0]] * size_n))
 
     matmul, subtract, multiply, add = np.matmul, np.subtract, np.multiply, np.add
     iterations = 0
     while True:
         size_t = active.shape[0]
-        y2 = y.reshape(size_t, -1)
-        dots = np.empty((size_t, 1, 1), dtype=np.complex128)
-        dot = dots.reshape(size_t)
-        kappa = np.empty(size_t, dtype=np.complex128)
-        delta = np.empty(size_t, dtype=np.complex128)
-        step = np.empty_like(y2)
-        move_nv = np.empty(size_t, dtype=np.complex128)
-        x, best, gain_step, part = (np.empty(size_t) for _ in range(4))
-        tie, acc = (np.empty(size_t, dtype=bool) for _ in range(2))
-        acc_rows = acc[:, np.newaxis]
-        k_re, k_im, d_re, d_im = kappa.real, kappa.imag, delta.real, delta.imag
-        for n, cols in enumerate(conj_t):
-            if gather:
-                cols = cols[prob]
-            v, nv = v_t[n], nv_t[n]
-            # kappa = phi_n^H y - ||phi_n||^2 v_n
-            matmul(cols, y, dots)
-            subtract(dot, nv, kappa)
-            np.arctan2(k_im, k_re, x)
-            _nearest_levels(x, levels, best, tie)
-            target = table[best.astype(np.intp)]
-            # the gain step 2 Re{conj(delta) kappa}, halved; a move needs > 0
-            subtract(target, v, delta)
-            multiply(d_re, k_re, gain_step)
-            multiply(d_im, k_im, part)
-            add(gain_step, part, gain_step)
-            np.greater(gain_step, 0.0, acc)
-            if not np.count_nonzero(acc):
-                continue
-            np.conjugate(cols.reshape(size_t, -1), step)
-            multiply(step, delta[:, np.newaxis], step)
-            add(y2, step, y2, where=acc_rows)
-            np.copyto(v, target, where=acc)
-            multiply(norms[n], target, move_nv)
-            np.copyto(nv, move_nv, where=acc)
-            np.copyto(idx_t[n], best, where=acc)
-            multiply(gain_step, 2.0, gain_step)
-            add(gain, gain_step, gain, where=acc)
-            accepted += acc
+        if scalar:
+            for i, t in enumerate(active.tolist()):
+                row_dots, rows, row_norms, idx, v = lists[t]
+                gain[i], moves = _scalar_sweep(row_dots, rows, row_norms, idx, v,
+                                               y[i, :, 0], float(gain[i]), table_list,
+                                               levels)
+                accepted[i] += moves
+                idx_t[:, i] = idx
+        else:
+            y2 = y.reshape(size_t, -1)
+            dots = np.empty((size_t, 1, 1), dtype=np.complex128)
+            dot = dots.reshape(size_t)
+            kappa = np.empty(size_t, dtype=np.complex128)
+            delta = np.empty(size_t, dtype=np.complex128)
+            step = np.empty_like(y2)
+            move_nv = np.empty(size_t, dtype=np.complex128)
+            x, best, gain_step, part = (np.empty(size_t) for _ in range(4))
+            tie, acc = (np.empty(size_t, dtype=bool) for _ in range(2))
+            acc_rows = acc[:, np.newaxis]
+            k_re, k_im, d_re, d_im = kappa.real, kappa.imag, delta.real, delta.imag
+            for n, cols in enumerate(conj_t):
+                if gather:
+                    cols = cols[prob]
+                v, nv = v_t[n], nv_t[n]
+                # kappa = phi_n^H y - ||phi_n||^2 v_n
+                matmul(cols, y, dots)
+                subtract(dot, nv, kappa)
+                np.arctan2(k_im, k_re, x)
+                _nearest_levels(x, levels, best, tie)
+                target = table[best.astype(np.intp)]
+                # the gain step 2 Re{conj(delta) kappa}, halved; a move needs > 0
+                subtract(target, v, delta)
+                multiply(d_re, k_re, gain_step)
+                multiply(d_im, k_im, part)
+                add(gain_step, part, gain_step)
+                np.greater(gain_step, 0.0, acc)
+                if not np.count_nonzero(acc):
+                    continue
+                np.conjugate(cols.reshape(size_t, -1), step)
+                multiply(step, delta[:, np.newaxis], step)
+                add(y2, step, y2, where=acc_rows)
+                np.copyto(v, target, where=acc)
+                multiply(norms[n], target, move_nv)
+                np.copyto(nv, move_nv, where=acc)
+                np.copyto(idx_t[n], best, where=acc)
+                multiply(gain_step, 2.0, gain_step)
+                add(gain, gain_step, gain, where=acc)
+                accepted += acc
         iterations += 1
 
         keep = []
@@ -352,9 +316,9 @@ def refine_batch(phis, h_ds, problem_of, levels: int, tx_powers, noise_powers,
         if not keep:
             return results
         if len(keep) < size_t:
-            # C-ordered copies: y2 must stay a view of y, and matmul takes
-            # the BLAS path only for contiguous operands. The columns stay
-            # where they are and are gathered from then on.
+            # C-ordered copies: the sweeps update y through views, and
+            # matmul takes the BLAS path only for contiguous operands. The
+            # columns stay where they are and are gathered from then on.
             active, y, gain, accepted, prob = (np.ascontiguousarray(a[keep]) for a in
                                                (active, y, gain, accepted, prob))
             v_t, nv_t, idx_t, norms = (np.ascontiguousarray(a[:, keep])
@@ -364,7 +328,7 @@ def refine_batch(phis, h_ds, problem_of, levels: int, tx_powers, noise_powers,
 
 def search_report(found, levels: int, *, group_of: np.ndarray | None = None,
                   truth=None) -> RefinementReport:
-    """The RefinementReport of one ``_refine`` or ``refine_batch`` result.
+    """The RefinementReport of one ``refine_batch`` result.
 
     ``group_of`` expands a grouped search's phases to the elements. With
     ``truth`` = (true channels, tx_power, noise_power), the trace holds
@@ -385,23 +349,13 @@ def search_report(found, levels: int, *, group_of: np.ndarray | None = None,
 
 def successive_refinement(channels: ChannelSet, levels: int, tx_power: float,
                           noise_power: float, *, epsilon: float = DEFAULT_EPSILON,
-                          init_phases: PhaseConfig | None = None,
                           max_outer_iters: int = DEFAULT_MAX_OUTER_ITERS,
                           ) -> RefinementReport:
-    """Cyclic coordinate ascent over all element phases until the rate
-    settles to within epsilon between sweeps."""
-    n = channels.num_irs_elements
-    if init_phases is None:
-        init = np.zeros(n, dtype=np.int64)
-    else:
-        if init_phases.levels != levels:
-            raise ValueError("init_phases quantization does not match levels")
-        if init_phases.indices.shape[0] != n:
-            raise ValueError("init_phases length does not match element count")
-        init = init_phases.indices
-    return search_report(_refine(channels.cascade, channels.h_d, levels, tx_power,
-                                 noise_power, init, epsilon, max_outer_iters),
-                         levels)
+    """Cyclic coordinate ascent over all element phases from zero phases
+    until the rate settles to within epsilon between sweeps."""
+    return search_report(refine_batch([channels.cascade], [channels.h_d], [0], levels,
+                                      [tx_power], [noise_power], epsilon,
+                                      max_outer_iters)[0], levels)
 
 
 def brute_force(channels: ChannelSet, levels: int, tx_power: float,
@@ -482,10 +436,9 @@ def optimize_grouped(channels: ChannelSet, irs_shape: tuple[int, int],
             f"{channels.num_irs_elements} channel columns")
     group_of = grouping_layout(irs_shape, grouping)
     phi_red = grouped_cascade(channels.cascade, group_of)
-    init = np.zeros(phi_red.shape[1], dtype=np.int64)
-    return search_report(_refine(phi_red, channels.h_d, levels, tx_power,
-                                 noise_power, init, epsilon, max_outer_iters),
-                         levels, group_of=group_of)
+    return search_report(refine_batch([phi_red], [channels.h_d], [0], levels,
+                                      [tx_power], [noise_power], epsilon,
+                                      max_outer_iters)[0], levels, group_of=group_of)
 
 
 def optimize_position_based(scenario: Scenario, true_channels: ChannelSet,
@@ -504,8 +457,7 @@ def optimize_position_based(scenario: Scenario, true_channels: ChannelSet,
             or true_channels.num_bs_antennas != scenario.bs_antennas):
         raise ValueError("true_channels dimensions do not match the scenario")
     estimate = los_channel_matrix(scenario)
-    init = np.zeros(scenario.irs_elements, dtype=np.int64)
-    return search_report(_refine(estimate.cascade, estimate.h_d, levels, tx_power,
-                                 noise_power, init, epsilon, max_outer_iters,
-                                 record_configs=True),
+    return search_report(refine_batch([estimate.cascade], [estimate.h_d], [0], levels,
+                                      [tx_power], [noise_power], epsilon,
+                                      max_outer_iters, record_configs=True)[0],
                          levels, truth=(true_channels, tx_power, noise_power))

@@ -220,8 +220,12 @@ def test_non_finite_entry(tmp_path):
 def test_save_failure_leaves_no_partial_file(tmp_path):
     target = tmp_path / "occupied"
     target.mkdir()  # os.replace onto a directory fails
-    with pytest.raises(OSError):
-        save_channels(random_channels(2), str(target))
+    # the error names the file asked for, not the temp file beside it
+    for path in (target, tmp_path / "nowhere" / "draw.txt"):
+        with pytest.raises(OSError) as caught:
+            save_channels(random_channels(2), str(path))
+        assert caught.value.filename == str(path)
+        assert caught.value.filename2 is None
     leftovers = [p for p in tmp_path.iterdir() if p.name != "occupied"]
     assert leftovers == []
 

@@ -27,6 +27,7 @@ from irslink import (
     solve,
     successive_refinement,
 )
+from irslink import cli
 from irslink.cli import main
 from irslink.config import OptimizerSettings, parse_optimizer_settings
 
@@ -394,6 +395,35 @@ trials = 1
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("sweep", "--out"), ("sweep", "--dump"), ("optimize", "--out"),
+    ("convergence", "--out")])
+def test_cli_refuses_a_missing_output_directory_before_any_work(
+        tmp_path, monkeypatch, capsys, command, flag):
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the output check")
+
+    for name in ("run_sweep", "rician_channel", "convergence_trace"):
+        monkeypatch.setattr(cli, name, never)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(TINY_SCENARIO + "[sweep]\nvariable = tx_power\nvalues = 0\n"
+                   "schemes = full_csi\ntrials = 1\n")
+    argv = [command, "--config", str(cfg)]
+    outputs = {"--out": str(tmp_path / "o.csv")}
+    if command == "sweep":
+        outputs["--dump"] = str(tmp_path / "d.json")
+    else:
+        argv += ["--seed", "1"]
+    missing = outputs[flag] = str(tmp_path / "nowhere" / "o.txt")
+    for key, path in outputs.items():
+        argv += [key, path]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} {missing}: no such directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+
 def test_cli_convergence(tiny_config, capsys):
     assert main(["convergence", "--config", tiny_config, "--seed", "2"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
@@ -421,6 +451,15 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg.write_text("[scenario]\nirs_rows = -2\n")
     assert main(["optimize", "--config", str(cfg)]) == 2
     assert "error:" in capsys.readouterr().err
+
+    # a negative seed is refused at parsing, naming the flag
+    cfg.write_text(TINY_SCENARIO)
+    for command in ("optimize", "convergence"):
+        with pytest.raises(SystemExit) as caught:
+            main([command, "--config", str(cfg), "--seed", "-1"])
+        assert caught.value.code == 2
+        assert ("error: argument --seed: must be a non-negative integer, got '-1'"
+                in capsys.readouterr().err)
 
     # a swept value outside the model fails at parse time, before any trial
     cfg.write_text(TINY_SCENARIO + "[sweep]\nvariable = tx_power\n"

@@ -158,20 +158,6 @@ def test_refinement_decoupled_objective_is_noop():
     assert report.rate_trace[0] == report.rate_trace[-1]
 
 
-def test_refinement_respects_init_phases():
-    rng = np.random.default_rng(9)
-    ch = random_channels(rng, 2, 5)
-    init = PhaseConfig(indices=np.array([3, 1, 0, 2, 3]), levels=4)
-    report = successive_refinement(ch, 4, 1.0, 1.0, init_phases=init)
-    assert report.rate_trace[0] == pytest.approx(rate(ch, init, 1.0, 1.0),
-                                                 rel=1e-12)
-    with pytest.raises(ValueError):
-        successive_refinement(ch, 8, 1.0, 1.0, init_phases=init)
-    short = PhaseConfig(indices=np.array([0, 1]), levels=4)
-    with pytest.raises(ValueError):
-        successive_refinement(ch, 4, 1.0, 1.0, init_phases=short)
-
-
 def test_refinement_trace_monotone_and_bounded():
     rng = np.random.default_rng(14)
     for trial in range(25):
@@ -403,13 +389,14 @@ def test_grouped_cascade_matches_masked_sum_bit_for_bit(monkeypatch, shape, grou
     ch = rician_channel(scn, np.random.default_rng(shape[0] * shape[1]))
     grouping = GroupingSpec(*group)
     seen = []
-    real_refine = optimizer_module._refine
+    real_refine = optimizer_module.refine_batch
 
-    def recording_refine(phi, *args, **kwargs):
-        seen.append(phi)
-        return real_refine(phi, *args, **kwargs)
+    def recording_refine(phis, *args, **kwargs):
+        phis = list(phis)
+        seen.extend(phis)
+        return real_refine(phis, *args, **kwargs)
 
-    monkeypatch.setattr(optimizer_module, "_refine", recording_refine)
+    monkeypatch.setattr(optimizer_module, "refine_batch", recording_refine)
     optimize_grouped(ch, shape, grouping, 4, scn.tx_power, scn.n0)
     want = masked_group_cascade(ch.cascade, grouping_layout(shape, grouping))
     assert len(seen) == 1
@@ -597,19 +584,29 @@ def batch_case(seed, m, n, num, problems, zero_cols, integer):
 
 
 def scalar_searches(case, levels, epsilon, max_outer_iters, record_configs=False):
+    """Each search of a case run alone, which sweeps in Python."""
     phis, h_ds, problem_of, tx_powers, noise_powers = case
-    init = np.zeros(phis[0].shape[1], dtype=np.int64)
-    return [optimizer_module._refine(phis[p], h_ds[p], levels, tx_powers[t],
-                                     noise_powers[t], init, epsilon,
-                                     max_outer_iters, record_configs)
+    return [optimizer_module.refine_batch([phis[p]], [h_ds[p]], [0], levels,
+                                          [tx_powers[t]], [noise_powers[t]], epsilon,
+                                          max_outer_iters,
+                                          record_configs=record_configs)[0]
             for t, p in enumerate(problem_of)]
 
 
+def numpy_pass(function, *args, **kwargs):
+    """``function(*args, **kwargs)`` with every search run through the numpy
+    pass, however few there are."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizer_module, "BATCH_MIN_SEARCHES", 1)
+        return function(*args, **kwargs)
+
+
 def batch_searches(case, levels, epsilon, max_outer_iters, record_configs=False):
+    """The searches of a case as one batch, through the numpy pass."""
     phis, h_ds, problem_of, tx_powers, noise_powers = case
-    return optimizer_module.refine_batch(
-        iter(phis), h_ds, problem_of, levels, tx_powers, noise_powers, epsilon,
-        max_outer_iters, record_configs=record_configs)
+    return numpy_pass(optimizer_module.refine_batch, iter(phis), h_ds, problem_of,
+                      levels, tx_powers, noise_powers, epsilon, max_outer_iters,
+                      record_configs=record_configs)
 
 
 @settings(max_examples=200, deadline=None)
@@ -651,6 +648,23 @@ def test_refine_batch_search_alone_equals_search_in_batch():
         assert alone[2:5] == together[t][2:5]
 
 
+def test_python_sweep_matches_numpy_pass_at_64x64():
+    # a Rician draw and its LOS estimate on a 64 x 64 surface: about 3000
+    # moves in the first sweep and a few in each of the later ones
+    scn = Scenario(irs_rows=64, irs_cols=64)
+    draw = rician_channel(scn, np.random.default_rng(5))
+    estimate = los_channel_matrix(scn)
+    case = ([draw.cascade, estimate.cascade], [draw.h_d, estimate.h_d], [0, 1],
+            [scn.tx_power] * 2, [scn.n0] * 2)
+    want = scalar_searches(case, 4, 1e-6, 100)
+    got = batch_searches(case, 4, 1e-6, 100)
+    for (idx, trace, its, conv, acc, _), ref in zip(got, want):
+        assert acc > 3000
+        assert np.array_equal(idx, ref[0])
+        assert trace == ref[1]
+        assert (its, conv, acc) == ref[2:5]
+
+
 def batch_rounding(angles, levels):
     x = np.array(angles, dtype=np.float64)
     best, tie = np.empty_like(x), np.empty(x.shape, dtype=bool)
@@ -690,8 +704,8 @@ def test_full_csi_and_grouped_traces_are_monotone(seed, m, shape, group, levels)
     p, n0 = 10.0 ** rng.uniform(-2, 1), 10.0 ** rng.uniform(-2, 0)
     group_of = grouping_layout(shape, GroupingSpec(*group))
     phi_red = optimizer_module.grouped_cascade(ch.cascade, group_of)
-    batched = [optimizer_module.refine_batch([phi], [ch.h_d], [0], levels, [p], [n0],
-                                             1e-9, 100)[0][1]
+    batched = [numpy_pass(optimizer_module.refine_batch, [phi], [ch.h_d], [0], levels,
+                          [p], [n0], 1e-9, 100)[0][1]
                for phi in (ch.cascade, phi_red)]
     for trace in (successive_refinement(ch, levels, p, n0, epsilon=1e-9).rate_trace,
                   optimize_grouped(ch, shape, GroupingSpec(*group), levels, p, n0,
