@@ -49,9 +49,12 @@ def _load_scenario(args) -> tuple[Scenario, OptimizerSettings]:
 
 
 def _check_out_dirs(args, *flags: str) -> None:
-    """Refuse, before any work, an output flag whose directory is missing."""
+    """Refuse, before any work, an output flag that names a directory or
+    whose directory is missing."""
     for flag in flags:
         path = getattr(args, flag)
+        if path and os.path.isdir(path):
+            raise IsADirectoryError(f"--{flag} {path}: is a directory")
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise FileNotFoundError(f"--{flag} {path}: no such directory")
 
@@ -61,6 +64,13 @@ def _seed(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _workers(text: str) -> int:
+    """A --workers value: a positive integer in decimal digits."""
+    if not (text.isascii() and text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
 
 
@@ -160,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "per-trial rates")
     p_sweep.add_argument("--traces", action="store_true",
                          help="include per-trial traces in the dump")
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=_workers, default=1)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_conv = sub.add_parser("convergence", parents=[common],

@@ -12,7 +12,9 @@ A sweep runs in blocks of (value, trial) draws that the spec alone
 fixes. Each draw is made once and shared by every scheme, and a block
 hands each scheme's searches of one phase-set size to one batched
 search (``optimizer.refine_batch``), which gives the phases, rates and
-traces of the per-draw search.
+traces of the per-draw search; position_based, whose phases do not
+depend on the fading, searches each distinct scenario once. ``run_trial``
+scores its one draw through the same code as a block.
 """
 
 from __future__ import annotations
@@ -258,49 +260,60 @@ def solve_block(scenarios, draws, scheme: Scheme, levels: int, epsilon: float,
                 ) -> list[RefinementReport]:
     """``solve`` for many draws at once: the same reports, in order.
 
-    From BATCH_MIN_SEARCHES draws on, all searches run as one batched
-    search: full_csi on each Phi, grouped on each group-summed Phi and
-    position_based on the LOS estimate of each distinct scenario. Fewer
-    draws are solved one by one through the scheme's public optimizer,
-    whose search sweeps in Python as a batch of so few would.
+    From BATCH_MIN_SEARCHES draws on, one ``refine_batch`` call runs the
+    searches: full_csi on each Phi, grouped on each group-summed Phi and
+    position_based on the LOS estimate of each distinct scenario, which
+    fixes the whole search, shared by that scenario's draws. Fewer draws
+    are solved one by one through the scheme's public optimizer, whose
+    search sweeps in Python as a batch of so few would.
     """
     if len(draws) < BATCH_MIN_SEARCHES:
         return [solve(scenario, channels, scheme, levels, epsilon,
                       max_outer_iters=max_outer_iters)
                 for scenario, channels in zip(scenarios, draws)]
     group_of = None
-    problem_of = range(len(draws))
+    searched, problems = scenarios, draws
     if scheme.name == "full_csi":
-        problems = draws
         phis = (channels.cascade for channels in draws)
     elif scheme.name == "grouped":
         first = scenarios[0]
         group_of = grouping_layout((first.irs_rows, first.irs_cols),
                                    GroupingSpec(scheme.group_rows, scheme.group_cols))
-        problems = draws
         phis = (grouped_cascade(channels.cascade, group_of) for channels in draws)
     elif scheme.name == "position_based":
-        index = {}
-        problem_of = [index.setdefault(scenario, len(index)) for scenario in scenarios]
-        problems = [los_channel_matrix(scenario) for scenario in index]
+        searched = list(dict.fromkeys(scenarios))
+        problems = [los_channel_matrix(scenario) for scenario in searched]
         phis = (estimate.cascade for estimate in problems)
     else:
         raise ValueError(f"scheme {scheme.name} has nothing to optimize")
     on_truth = scheme.name == "position_based"
-    found = refine_batch(phis, [problem.h_d for problem in problems], problem_of,
-                         levels, [s.tx_power for s in scenarios],
-                         [s.n0 for s in scenarios], epsilon, max_outer_iters,
-                         record_configs=on_truth)
-    return [search_report(one, levels, group_of=group_of,
-                          truth=(channels, scenario.tx_power, scenario.n0)
-                          if on_truth else None)
-            for scenario, channels, one in zip(scenarios, draws, found)]
+    found = refine_batch(phis, [problem.h_d for problem in problems], levels,
+                         [s.tx_power for s in searched], [s.n0 for s in searched],
+                         epsilon, max_outer_iters, record_configs=on_truth)
+    if not on_truth:
+        return [search_report(one, levels, group_of=group_of) for one in found]
+    found = dict(zip(searched, found))
+    return [search_report(found[scenario], levels,
+                          truth=(channels, scenario.tx_power, scenario.n0))
+            for scenario, channels in zip(scenarios, draws)]
 
 
-def _direct_rate(scenario: Scenario, channels: ChannelSet) -> float:
-    """The no_irs rate: the direct channel alone."""
-    gain = float(np.vdot(channels.h_d, channels.h_d).real)
-    return rate_from_gain(gain, scenario.tx_power, scenario.n0)
+def _score(scenarios, draws, scheme: Scheme, levels: int, epsilon: float,
+           max_outer_iters: int) -> list:
+    """(rate, trace, SearchStats or None) of each draw under one scheme:
+    no_irs rates the direct channel alone, every other scheme the phases
+    ``solve_block`` found."""
+    if scheme.name == "no_irs":
+        rates = [rate_from_gain(float(np.vdot(channels.h_d, channels.h_d).real),
+                                scenario.tx_power, scenario.n0)
+                 for scenario, channels in zip(scenarios, draws)]
+        return [(achieved, (achieved,), None) for achieved in rates]
+    reports = solve_block(scenarios, draws, scheme, levels, epsilon,
+                          max_outer_iters=max_outer_iters)
+    return [(rate(channels, report.final_phases, scenario.tx_power, scenario.n0),
+             report.rate_trace,
+             SearchStats(report.iterations, report.converged, report.accepted_moves))
+            for scenario, channels, report in zip(scenarios, draws, reports)]
 
 
 def run_trial(scenario: Scenario, scheme: Scheme, levels: int, epsilon: float,
@@ -312,17 +325,9 @@ def run_trial(scenario: Scenario, scheme: Scheme, levels: int, epsilon: float,
     keep_trace is set. The channel draw happens before any scheme
     branching, so equal seeds mean equal fading across schemes.
     """
-    rng = np.random.default_rng(seed)
-    channels = rician_channel(scenario, rng)
-    if scheme.name == "no_irs":
-        achieved = _direct_rate(scenario, channels)
-        trace = (achieved,)
-    else:
-        report = solve(scenario, channels, scheme, levels, epsilon,
-                       max_outer_iters=max_outer_iters)
-        achieved = rate(channels, report.final_phases, scenario.tx_power,
-                        scenario.n0)
-        trace = report.rate_trace
+    channels = rician_channel(scenario, np.random.default_rng(seed))
+    achieved, trace, _ = _score([scenario], [channels], scheme, levels, epsilon,
+                                max_outer_iters)[0]
     return (achieved, trace) if keep_trace else achieved
 
 
@@ -349,24 +354,14 @@ def _run_block(spec: SweepSpec, block, seeds) -> dict:
     levels_of = [levels_for_value(spec, value) for value, _ in block]
     out = {}
     for scheme in spec.schemes:
-        if scheme.name == "no_irs":
-            for scenario, channels, (value, t) in zip(scenarios, draws, block):
-                achieved = _direct_rate(scenario, channels)
-                out[(scheme.label, value, t)] = (achieved, (achieved,), None)
-            continue
         for levels in dict.fromkeys(levels_of):
             members = [i for i, lv in enumerate(levels_of) if lv == levels]
-            reports = solve_block([scenarios[i] for i in members],
-                                  [draws[i] for i in members], scheme, levels,
-                                  spec.epsilon, max_outer_iters=spec.max_outer_iters)
-            for i, report in zip(members, reports):
-                scenario, (value, t) = scenarios[i], block[i]
-                achieved = rate(draws[i], report.final_phases, scenario.tx_power,
-                                scenario.n0)
-                out[(scheme.label, value, t)] = (
-                    achieved, report.rate_trace,
-                    SearchStats(report.iterations, report.converged,
-                                report.accepted_moves))
+            scored = _score([scenarios[i] for i in members],
+                            [draws[i] for i in members], scheme, levels,
+                            spec.epsilon, spec.max_outer_iters)
+            for i, one in zip(members, scored):
+                value, t = block[i]
+                out[(scheme.label, value, t)] = one
     return out
 
 

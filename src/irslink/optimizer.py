@@ -168,16 +168,15 @@ def _scalar_sweep(dots, cols, norms, idx, v, y, gain: float, table,
     return gain, moves
 
 
-def refine_batch(phis, h_ds, problem_of, levels: int, tx_powers, noise_powers,
-                 epsilon: float, max_outer_iters: int, *,
-                 record_configs: bool = False) -> list:
+def refine_batch(phis, h_ds, levels: int, tx_powers, noise_powers, epsilon: float,
+                 max_outer_iters: int, *, record_configs: bool = False) -> list:
     """T independent searches from all-zero phases, each maximizing
     ||phi v + h_d||^2 over the discrete phases of v.
 
-    ``phis`` yields P distinct problems of one shape (M, N), ``h_ds`` their P
-    direct channels; search t runs on problem ``problem_of[t]`` with rate
-    parameters ``tx_powers[t]`` and ``noise_powers[t]``, and stops at its
-    own epsilon stop. Returns per search, in order, (indices, trace,
+    ``phis`` yields T problems of one shape (M, N) and ``h_ds`` holds their
+    T direct channels; search t runs on ``phis[t]`` and ``h_ds[t]`` with
+    rate parameters ``tx_powers[t]`` and ``noise_powers[t]``, and stops at
+    its own epsilon stop. Returns per search, in order, (indices, trace,
     iterations, converged, accepted_moves, configs), configs listing the
     indices after init and after each sweep if record_configs is set.
 
@@ -193,32 +192,28 @@ def refine_batch(phis, h_ds, problem_of, levels: int, tx_powers, noise_powers,
     moves an angle across a rounding boundary it lies within an ulp of.
     """
     check_search_settings(levels, epsilon, max_outer_iters)
-    prob = np.asarray(problem_of, dtype=np.intp)
-    num = prob.shape[0]
+    num = len(h_ds)
     if num == 0:
         return []
     # the phase set, with entry L repeating entry 0
     table = np.exp(1j * (np.arange(levels + 1) % levels) * (2.0 * np.pi / levels))
-    users = [[] for _ in h_ds]
-    for t, p in enumerate(prob.tolist()):
-        users[p].append(t)
 
-    # Per problem: conjugated columns, (N, P, 1, M), so that visit n reads
-    # one (P, 1, M) block. Per search: y as (T, M, 1) and the element state
-    # as (N, T) arrays; idx_t holds indices as floats in [0, L].
+    # Per search: conjugated columns, (N, T, 1, M), so that visit n reads
+    # one (T, 1, M) block, y as (T, M, 1) and the element state as (N, T)
+    # arrays; idx_t holds indices as floats in [0, L].
     conj_t = norms = y = None
-    for p, (phi, h_d) in enumerate(zip(phis, h_ds)):
+    for t, (phi, h_d) in enumerate(zip(phis, h_ds)):
         if conj_t is None:
             size_m, size_n = phi.shape
-            conj_t = np.empty((size_n, len(users), 1, size_m), dtype=np.complex128)
+            conj_t = np.empty((size_n, num, 1, size_m), dtype=np.complex128)
             norms = np.empty((size_n, num))
             y = np.empty((num, size_m, 1), dtype=np.complex128)
         if phi.shape != (size_m, size_n):
-            raise ValueError(f"problem {p} is {phi.shape[0]} x {phi.shape[1]}, "
+            raise ValueError(f"problem {t} is {phi.shape[0]} x {phi.shape[1]}, "
                              f"not {size_m} x {size_n} like problem 0")
-        np.conjugate(phi.T, out=conj_t[:, p, 0, :])
-        norms[:, users[p]] = (phi.real ** 2 + phi.imag ** 2).sum(axis=0)[:, np.newaxis]
-        y[users[p], :, 0] = phi @ np.full(size_n, table[0]) + h_d
+        np.conjugate(phi.T, out=conj_t[:, t, 0, :])
+        norms[:, t] = (phi.real ** 2 + phi.imag ** 2).sum(axis=0)
+        y[t, :, 0] = phi @ np.full(size_n, table[0]) + h_d
     idx_t = np.zeros((size_n, num))
     v_t = np.full((size_n, num), table[0])
     nv_t = norms * v_t
@@ -231,17 +226,15 @@ def refine_batch(phis, h_ds, problem_of, levels: int, tx_powers, noise_powers,
                if record_configs else None)
     accepted = np.zeros(num, dtype=np.int64)
     active = np.arange(num)
-    # conj_t[n] serves as is while search t runs on problem t, else gathered
-    gather = len(users) != num or not np.array_equal(prob, active)
     results = [None] * num
     scalar = num < BATCH_MIN_SEARCHES
     if scalar:
-        # per search: its problem's dot methods and columns, and its
-        # norms, indices and phases, as _scalar_sweep takes them
+        # per search: its dot methods and columns, and its norms,
+        # indices and phases, as _scalar_sweep takes them
         table_list = table.tolist()
         lists = []
-        for t, p in enumerate(prob.tolist()):
-            conj_rows = conj_t[:, p, 0, :]
+        for t in range(num):
+            conj_rows = conj_t[:, t, 0, :]
             lists.append(([row.dot for row in conj_rows], list(conj_rows.conj()),
                           norms[:, t].tolist(), [0] * size_n,
                           [table_list[0]] * size_n))
@@ -271,8 +264,8 @@ def refine_batch(phis, h_ds, problem_of, levels: int, tx_powers, noise_powers,
             acc_rows = acc[:, np.newaxis]
             k_re, k_im, d_re, d_im = kappa.real, kappa.imag, delta.real, delta.imag
             for n, cols in enumerate(conj_t):
-                if gather:
-                    cols = cols[prob]
+                if size_t < num:
+                    cols = cols[active]
                 v, nv = v_t[n], nv_t[n]
                 # kappa = phi_n^H y - ||phi_n||^2 v_n
                 matmul(cols, y, dots)
@@ -319,11 +312,10 @@ def refine_batch(phis, h_ds, problem_of, levels: int, tx_powers, noise_powers,
             # C-ordered copies: the sweeps update y through views, and
             # matmul takes the BLAS path only for contiguous operands. The
             # columns stay where they are and are gathered from then on.
-            active, y, gain, accepted, prob = (np.ascontiguousarray(a[keep]) for a in
-                                               (active, y, gain, accepted, prob))
+            active, y, gain, accepted = (np.ascontiguousarray(a[keep])
+                                         for a in (active, y, gain, accepted))
             v_t, nv_t, idx_t, norms = (np.ascontiguousarray(a[:, keep])
                                        for a in (v_t, nv_t, idx_t, norms))
-            gather = True
 
 
 def search_report(found, levels: int, *, group_of: np.ndarray | None = None,
@@ -353,7 +345,7 @@ def successive_refinement(channels: ChannelSet, levels: int, tx_power: float,
                           ) -> RefinementReport:
     """Cyclic coordinate ascent over all element phases from zero phases
     until the rate settles to within epsilon between sweeps."""
-    return search_report(refine_batch([channels.cascade], [channels.h_d], [0], levels,
+    return search_report(refine_batch([channels.cascade], [channels.h_d], levels,
                                       [tx_power], [noise_power], epsilon,
                                       max_outer_iters)[0], levels)
 
@@ -436,7 +428,7 @@ def optimize_grouped(channels: ChannelSet, irs_shape: tuple[int, int],
             f"{channels.num_irs_elements} channel columns")
     group_of = grouping_layout(irs_shape, grouping)
     phi_red = grouped_cascade(channels.cascade, group_of)
-    return search_report(refine_batch([phi_red], [channels.h_d], [0], levels,
+    return search_report(refine_batch([phi_red], [channels.h_d], levels,
                                       [tx_power], [noise_power], epsilon,
                                       max_outer_iters)[0], levels, group_of=group_of)
 
@@ -457,7 +449,7 @@ def optimize_position_based(scenario: Scenario, true_channels: ChannelSet,
             or true_channels.num_bs_antennas != scenario.bs_antennas):
         raise ValueError("true_channels dimensions do not match the scenario")
     estimate = los_channel_matrix(scenario)
-    return search_report(refine_batch([estimate.cascade], [estimate.h_d], [0], levels,
+    return search_report(refine_batch([estimate.cascade], [estimate.h_d], levels,
                                       [tx_power], [noise_power], epsilon,
                                       max_outer_iters, record_configs=True)[0],
                          levels, truth=(true_channels, tx_power, noise_power))

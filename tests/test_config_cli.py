@@ -395,11 +395,14 @@ trials = 1
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, flag", [
-    ("sweep", "--out"), ("sweep", "--dump"), ("optimize", "--out"),
-    ("convergence", "--out")])
+@pytest.mark.parametrize("command, flag, reason", [
+    ("sweep", "--out", "no such directory"), ("sweep", "--dump", "no such directory"),
+    ("optimize", "--out", "no such directory"),
+    ("convergence", "--out", "no such directory"), ("sweep", "--out", "is a directory"),
+], ids=["sweep---out", "sweep---dump", "optimize---out", "convergence---out",
+        "sweep---out-is-a-directory"])
 def test_cli_refuses_a_missing_output_directory_before_any_work(
-        tmp_path, monkeypatch, capsys, command, flag):
+        tmp_path, monkeypatch, capsys, command, flag, reason):
     def never(*args, **kwargs):
         raise AssertionError("work started before the output check")
 
@@ -414,13 +417,14 @@ def test_cli_refuses_a_missing_output_directory_before_any_work(
         outputs["--dump"] = str(tmp_path / "d.json")
     else:
         argv += ["--seed", "1"]
-    missing = outputs[flag] = str(tmp_path / "nowhere" / "o.txt")
+    bad = outputs[flag] = str(tmp_path if reason == "is a directory"
+                              else tmp_path / "nowhere" / "o.txt")
     for key, path in outputs.items():
         argv += [key, path]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {flag} {missing}: no such directory\n"
+    assert captured.err == f"error: {flag} {bad}: {reason}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
 
 
@@ -460,6 +464,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         assert caught.value.code == 2
         assert ("error: argument --seed: must be a non-negative integer, got '-1'"
                 in capsys.readouterr().err)
+
+    # and so is a sweep on no workers
+    with pytest.raises(SystemExit) as caught:
+        main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "w.csv"),
+              "--workers", "0"])
+    assert caught.value.code == 2
+    assert ("error: argument --workers: must be a positive integer, got '0'"
+            in capsys.readouterr().err)
 
     # a swept value outside the model fails at parse time, before any trial
     cfg.write_text(TINY_SCENARIO + "[sweep]\nvariable = tx_power\n"

@@ -285,14 +285,23 @@ def test_convergence_trace_shape():
     assert trace == convergence_trace(SMALL, 4, 1e-6, 123)
 
 
-def test_run_sweep_batched_blocks_match_per_trial_path(monkeypatch):
+@pytest.mark.parametrize("variable, values, searches", [
+    ("vehicle_offset_c_v", (-3.0, 2.0), [40, 40, 2]),
+    ("tx_power", (10.0, 30.0), [40, 40, 2]),
+    ("quantization_bits", (1.0, 2.0), [20, 20, 20, 20, 1, 1]),
+], ids=["vehicle_offset_c_v", "tx_power", "quantization_bits"])
+def test_run_sweep_batched_blocks_match_per_trial_path(monkeypatch, variable, values,
+                                                       searches):
     # 2 values x 20 trials on a 4x4 surface make one block of 40 draws,
-    # so every scheme's searches run batched, position_based on two
-    # shared LOS estimates; rates must equal run_trial's bit for bit and
-    # the kept stats solve's reports
+    # so every scheme's searches run batched, one per phase-set size, and
+    # position_based searches each distinct scenario once: the c_v values
+    # differ in the LOS problem, the tx_power values only in the stop
+    # rule, and the quantization_bits values split the block by levels.
+    # Rates must equal run_trial's bit for bit and the kept stats solve's
+    # reports
     base = Scenario(irs_rows=4, irs_cols=4)
-    spec = SweepSpec(base_scenario=base, swept_variable="vehicle_offset_c_v",
-                     sweep_values=(-3.0, 2.0),
+    spec = SweepSpec(base_scenario=base, swept_variable=variable,
+                     sweep_values=values,
                      schemes=(Scheme("no_irs"), Scheme("full_csi"),
                               Scheme("grouped", 2, 2), Scheme("position_based")),
                      trials=20, master_seed=9)
@@ -300,15 +309,16 @@ def test_run_sweep_batched_blocks_match_per_trial_path(monkeypatch):
     batched = []
     real = experiments.refine_batch
     monkeypatch.setattr(experiments, "refine_batch",
-                        lambda *a, **k: batched.append(len(a[2])) or real(*a, **k))
+                        lambda *a, **k: batched.append(len(a[1])) or real(*a, **k))
     result = run_sweep(spec, keep_trials=True, keep_traces=True)
-    assert batched == [40, 40, 40]
+    assert batched == searches
     for scheme in spec.schemes:
         for value in spec.sweep_values:
             scn = scenario_for_value(spec, value)
+            levels = levels_for_value(spec, value)
             for t in range(spec.trials):
                 seed = trial_seed(9, t)
-                achieved, trace = run_trial(scn, scheme, 4, 1e-6, seed,
+                achieved, trace = run_trial(scn, scheme, levels, 1e-6, seed,
                                             keep_trace=True)
                 key = (scheme.label, value, t)
                 assert result.trial_rates[key[:2]][t] == achieved, key
@@ -317,7 +327,7 @@ def test_run_sweep_batched_blocks_match_per_trial_path(monkeypatch):
                     assert key not in result.search_stats
                     continue
                 report = solve(scn, rician_channel(scn, np.random.default_rng(seed)),
-                               scheme, 4, 1e-6)
+                               scheme, levels, 1e-6)
                 assert result.search_stats[key] == (
                     report.iterations, report.converged, report.accepted_moves), key
     assert len(result.search_stats) == 3 * 2 * 20
@@ -325,7 +335,7 @@ def test_run_sweep_batched_blocks_match_per_trial_path(monkeypatch):
     assert run_sweep(spec, workers=2).to_table() == result.to_table()
     monkeypatch.setattr(experiments, "BATCH_MIN_SEARCHES", 41)
     per_draw = run_sweep(spec, keep_trials=True, keep_traces=True)
-    assert batched == [40] * 6
+    assert batched == searches * 2
     assert per_draw.to_json() == result.to_json()
     assert per_draw.search_stats == result.search_stats
 

@@ -223,7 +223,7 @@ def test_rate_refuses_an_snr_beyond_the_float_range():
     assert rate(ch, cfg, 1e300, 1.0) == pytest.approx(math.log2(9e300))
     for evaluate in (lambda: rate(ch, cfg, 1e308, 1e-3),
                      lambda: rate_from_gain(9.0, 1e308, 1e-3),
-                     lambda: refine_batch([ch.cascade], [ch.h_d], [0, 0], 2,
+                     lambda: refine_batch([ch.cascade] * 2, [ch.h_d] * 2, 2,
                                           [1.0, 1e308], [1.0, 1e-3], 1e-6, 100)):
         with pytest.raises(ValueError, match=r"^tx_power 1e\+308 W gives an SNR"):
             evaluate()

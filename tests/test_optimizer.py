@@ -586,7 +586,7 @@ def batch_case(seed, m, n, num, problems, zero_cols, integer):
 def scalar_searches(case, levels, epsilon, max_outer_iters, record_configs=False):
     """Each search of a case run alone, which sweeps in Python."""
     phis, h_ds, problem_of, tx_powers, noise_powers = case
-    return [optimizer_module.refine_batch([phis[p]], [h_ds[p]], [0], levels,
+    return [optimizer_module.refine_batch([phis[p]], [h_ds[p]], levels,
                                           [tx_powers[t]], [noise_powers[t]], epsilon,
                                           max_outer_iters,
                                           record_configs=record_configs)[0]
@@ -602,10 +602,12 @@ def numpy_pass(function, *args, **kwargs):
 
 
 def batch_searches(case, levels, epsilon, max_outer_iters, record_configs=False):
-    """The searches of a case as one batch, through the numpy pass."""
+    """The searches of a case as one batch, through the numpy pass; searches
+    of one problem get the same arrays."""
     phis, h_ds, problem_of, tx_powers, noise_powers = case
-    return numpy_pass(optimizer_module.refine_batch, iter(phis), h_ds, problem_of,
-                      levels, tx_powers, noise_powers, epsilon, max_outer_iters,
+    return numpy_pass(optimizer_module.refine_batch, (phis[p] for p in problem_of),
+                      [h_ds[p] for p in problem_of], levels, tx_powers, noise_powers,
+                      epsilon, max_outer_iters,
                       record_configs=record_configs)
 
 
@@ -704,7 +706,7 @@ def test_full_csi_and_grouped_traces_are_monotone(seed, m, shape, group, levels)
     p, n0 = 10.0 ** rng.uniform(-2, 1), 10.0 ** rng.uniform(-2, 0)
     group_of = grouping_layout(shape, GroupingSpec(*group))
     phi_red = optimizer_module.grouped_cascade(ch.cascade, group_of)
-    batched = [numpy_pass(optimizer_module.refine_batch, [phi], [ch.h_d], [0], levels,
+    batched = [numpy_pass(optimizer_module.refine_batch, [phi], [ch.h_d], levels,
                           [p], [n0], 1e-9, 100)[0][1]
                for phi in (ch.cascade, phi_red)]
     for trace in (successive_refinement(ch, levels, p, n0, epsilon=1e-9).rate_trace,
@@ -713,4 +715,4 @@ def test_full_csi_and_grouped_traces_are_monotone(seed, m, shape, group, levels)
         assert all(b >= a for a, b in zip(trace, trace[1:]))
     with pytest.raises(ValueError, match="like problem 0"):
         optimizer_module.refine_batch([ch.cascade, np.ones((1, 1))], [ch.h_d] * 2,
-                                      [0, 1], levels, [p, p], [n0, n0], 1e-9, 100)
+                                      levels, [p, p], [n0, n0], 1e-9, 100)
